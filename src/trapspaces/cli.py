@@ -277,8 +277,9 @@ def _cmd_audit(args) -> int:
 def _cmd_check(args) -> int:
     net = _load(args)
     cap = args.stg_cap if args.stg_cap is not None else _dynamics.DEFAULT_BRUTE_FORCE_CAP
-    oracle_min = _dynamics.brute_force_trap_spaces(net, "min", cap)
-    oracle_max = _dynamics.brute_force_trap_spaces(net, "max", cap)
+    oracle = _dynamics.brute_force_trap_spaces(net, "all", cap)
+    oracle_min = _dynamics.select_trap_spaces(oracle, "min")
+    oracle_max = _dynamics.select_trap_spaces(oracle, "max")
     g = build_graph(net, cap=args.support_cap)
     got_min = _solver.min_trap_spaces(net, args.limit, args.timeout, graph=g).spaces
     got_max = _solver.max_trap_spaces(net, args.limit, args.timeout, graph=g).spaces

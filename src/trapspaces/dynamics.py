@@ -139,8 +139,7 @@ def brute_force_trap_spaces(
 ) -> list[Subspace]:
     """Oracle: test all 3^n subspaces against the trap-space characterization.
 
-    mode="min" keeps the inclusion-minimal spaces, mode="max" the
-    inclusion-maximal ones strictly below the whole space.
+    ``mode`` selects among them as in ``select_trap_spaces``.
     """
     if mode not in ("all", "min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
@@ -171,11 +170,20 @@ def brute_force_trap_spaces(
             sub = (sub - free) & free
         if ok:
             spaces.append(Subspace(n, mask, vals))
-    if mode == "all":
-        return sorted(spaces, key=str)
+    return select_trap_spaces(spaces, mode)
+
+
+def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:
+    """The spaces of ``mode`` among all trap spaces ``spaces``, sorted by text.
+
+    mode="all" keeps every one, "min" the inclusion-minimal ones and "max"
+    the inclusion-maximal ones strictly below the whole space.
+    """
     if mode == "min":
-        kept = [p for p in spaces if not any(subspace_lt(q, p) for q in spaces)]
-    else:
+        spaces = [p for p in spaces if not any(subspace_lt(q, p) for q in spaces)]
+    elif mode == "max":
         proper = [p for p in spaces if p.mask != 0]
-        kept = [p for p in proper if not any(subspace_lt(p, q) for q in proper)]
-    return sorted(kept, key=str)
+        spaces = [p for p in proper if not any(subspace_lt(p, q) for q in proper)]
+    elif mode != "all":
+        raise TrapSpacesError(f"unknown mode {mode!r}")
+    return sorted(spaces, key=str)

@@ -1,4 +1,5 @@
-"""Boolean expression ASTs: parsing, evaluation, restriction and support analysis.
+"""Boolean expression ASTs: parsing, evaluation, bit-parallel truth tables,
+restriction and support analysis.
 
 Concrete syntax: identifiers ``[A-Za-z_][A-Za-z0-9_]*``, negation ``!``,
 conjunction ``&``, disjunction ``|``, constants ``0``/``1`` and parentheses.
@@ -253,52 +254,66 @@ def syntactic_support(f: Expression) -> set[int]:
     raise TypeError(f"not an expression node: {f!r}")
 
 
-class _RowAssignment:
-    """Maps a truth-table row index onto a variable assignment.
+def _column(k: int, pos: int) -> int:
+    """The 2^k-bit table of row bit ``pos``: bit r is set iff bit ``pos`` of r is."""
+    width = 1 << pos
+    return ((1 << (1 << k)) - 1) // ((1 << (2 * width)) - 1) * (((1 << width) - 1) << width)
 
-    Row bit j (counting the first support variable as most significant)
-    holds the value of ``support[j]``.
-    """
 
-    __slots__ = ("positions", "row")
-
-    def __init__(self, support: Sequence[int]):
-        k = len(support)
-        self.positions = {v: k - 1 - j for j, v in enumerate(support)}
-        self.row = 0
-
-    def value(self, index: int) -> int:
-        return (self.row >> self.positions[index]) & 1
+def _tabulate(f: Expression, columns: dict[int, int], full: int) -> int:
+    if isinstance(f, Var):
+        return columns[f.index]
+    if isinstance(f, Const):
+        return full if f.value else 0
+    if isinstance(f, Not):
+        return _tabulate(f.child, columns, full) ^ full
+    if isinstance(f, And):
+        table = full
+        for child in f.children:
+            table &= _tabulate(child, columns, full)
+        return table
+    if isinstance(f, Or):
+        table = 0
+        for child in f.children:
+            table |= _tabulate(child, columns, full)
+        return table
+    raise TypeError(f"not an expression node: {f!r}")
 
 
 def truth_table(f: Expression, support: Sequence[int], cap: int = DEFAULT_SUPPORT_CAP) -> int:
-    """Tabulate ``f`` over ``support`` as a 2^k-bit integer (bit r = row r)."""
+    """Tabulate ``f`` over ``support`` as a 2^k-bit integer (bit r = row r).
+
+    Bit j of a row index, counting the first support variable as most
+    significant, holds the value of ``support[j]``. Evaluation is
+    bit-parallel: each variable stands for its whole column, so one walk of
+    the AST yields every row.
+    """
     k = len(support)
     if k > cap:
         raise SupportTooLargeError(k, cap)
-    assignment = _RowAssignment(support)
-    table = 0
-    for row in range(1 << k):
-        assignment.row = row
-        if evaluate(f, assignment):
-            table |= 1 << row
-    return table
+    columns = {v: _column(k, k - 1 - j) for j, v in enumerate(support)}
+    return _tabulate(f, columns, (1 << (1 << k)) - 1)
+
+
+def tabulate(f: Expression, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[tuple[int, ...], int]:
+    """The sorted syntactic support of ``f`` and the truth table over it.
+
+    The cap applies to the syntactic support, fictitious variables included.
+    """
+    support = tuple(sorted(syntactic_support(f)))
+    return support, truth_table(f, support, cap)
 
 
 def constant_value(f: Expression, cap: int = DEFAULT_SUPPORT_CAP) -> Optional[int]:
     """Return c if ``f`` equals c on every assignment of its syntactic support.
 
-    Decided semantically by exhaustive evaluation, so algebraically hidden
+    Decided semantically from the truth table, so algebraically hidden
     constants (e.g. ``v & !v``) are detected.
     """
-    support = sorted(syntactic_support(f))
-    if len(support) > cap:
-        raise SupportTooLargeError(len(support), cap)
-    table = truth_table(f, support, cap)
-    rows = 1 << len(support)
+    support, table = tabulate(f, cap)
     if table == 0:
         return 0
-    if table == (1 << rows) - 1:
+    if table == (1 << (1 << len(support))) - 1:
         return 1
     return None
 
@@ -306,20 +321,15 @@ def constant_value(f: Expression, cap: int = DEFAULT_SUPPORT_CAP) -> Optional[in
 def essential_support(f: Expression, cap: int = DEFAULT_SUPPORT_CAP) -> set[int]:
     """Variables whose value can change ``f``: some pair of states differing
     only in that variable yields different values."""
-    support = sorted(syntactic_support(f))
-    if len(support) > cap:
-        raise SupportTooLargeError(len(support), cap)
+    support, table = tabulate(f, cap)
     k = len(support)
-    table = truth_table(f, support, cap)
     essential: set[int] = set()
     for j, v in enumerate(support):
-        bit = 1 << (k - 1 - j)
-        for row in range(1 << k):
-            if row & bit:
-                continue
-            if ((table >> row) & 1) != ((table >> (row | bit)) & 1):
-                essential.add(v)
-                break
+        pos = k - 1 - j
+        column = _column(k, pos)
+        # compare the rows with the variable at 1 against those with it at 0
+        if (table & column) >> (1 << pos) != table & ~column:
+            essential.add(v)
     return essential
 
 

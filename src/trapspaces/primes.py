@@ -38,36 +38,46 @@ class HyperArc:
             raise ValueError("tail variables must be distinct")
 
 
-def _merge_cubes(k: int, minterms: list[int]) -> list[tuple[int, int]]:
-    """Iterative adjacent-cube consensus over k variables.
-
-    Cubes are (mask, vals) pairs over k bit positions; returns the prime
-    cubes covering exactly the given minterms.
+def _primes(table: int, k: int, memo: dict) -> list[tuple[int, int]]:
+    """The prime cubes (mask, vals) over the row bits of a k-variable truth
+    table, by Shannon expansion on
+    its most significant row bit (the Blake canonical form, after Coudert
+    and Madre): P(f) = P(f0 f1), plus x'p for p in P(f0) and xp for p in
+    P(f1) where p is not in P(f0 f1). A prime p of f0 implies f1 exactly
+    when it is a prime of f0 f1. A variable f does not depend on adds no
+    cube, since then f0 = f1. ``memo`` maps (table, k) to the primes.
     """
-    full = (1 << k) - 1
-    current = {(full, m) for m in minterms}
-    primes: set[tuple[int, int]] = set()
-    while current:
-        merged: set[tuple[int, int]] = set()
-        next_level: set[tuple[int, int]] = set()
-        by_mask: dict[int, dict[int, list[int]]] = {}
-        for mask, vals in current:
-            by_mask.setdefault(mask, {}).setdefault(bin(vals).count("1"), []).append(vals)
-        for mask, groups in by_mask.items():
-            for ones in sorted(groups):
-                uppers = set(groups.get(ones + 1, ()))
-                for vals in groups[ones]:
-                    for j in range(k):
-                        bit = 1 << j
-                        if not (mask & bit) or (vals & bit):
-                            continue
-                        if (vals | bit) in uppers:
-                            next_level.add((mask & ~bit, vals))
-                            merged.add((mask, vals))
-                            merged.add((mask, vals | bit))
-        primes |= current - merged
-        current = next_level
-    return sorted(primes)
+    key = (table, k)
+    if key not in memo:
+        if k == 0:
+            memo[key] = [(0, 0)] if table else []
+        else:
+            half = 1 << (k - 1)
+            f0, f1 = table & ((1 << half) - 1), table >> half
+            both = _primes(f0 & f1, k - 1, memo)
+            common = set(both)
+            bit = 1 << (k - 1)
+            memo[key] = (
+                both
+                + [(m | bit, v) for m, v in _primes(f0, k - 1, memo) if (m, v) not in common]
+                + [(m | bit, v | bit) for m, v in _primes(f1, k - 1, memo) if (m, v) not in common]
+            )
+    return memo[key]
+
+
+def _implicant_tails(f: _expr.Expression, target: int, cap: int, memo: dict) -> tuple[list, list]:
+    """The 0- and 1-prime implicants of f as sorted literal tuples, from one
+    truth table over the syntactic support (the cap applies to it). Only a
+    constant function c has an empty prime; it becomes ((target, c),)."""
+    support, table = _expr.tabulate(f, cap)
+    k = len(support)
+    out = ([], [])
+    for c, t in ((0, table ^ ((1 << (1 << k)) - 1)), (1, table)):
+        for mask, vals in _primes(t, k, memo):
+            tail = tuple((v, (vals >> (k - 1 - j)) & 1)
+                         for j, v in enumerate(support) if (mask >> (k - 1 - j)) & 1)
+            out[c].append(tail or ((target, c),))
+    return out
 
 
 def c_prime_implicants(
@@ -79,31 +89,12 @@ def c_prime_implicants(
 ) -> list[PrimeImplicant]:
     """All c-prime implicants of f, embedded over the full vocabulary of size n.
 
-    Enumeration runs over the essential support so fictitious variables never
-    produce non-prime cubes.
+    Only essential variables occur in them.
     """
-    constant = _expr.constant_value(f, cap)
-    if constant is not None:
-        if constant == c:
-            return [PrimeImplicant(Subspace.from_items(n, [(target, c)]), c, target)]
-        return []
-    support = sorted(_expr.essential_support(f, cap))
-    fictitious = _expr.syntactic_support(f) - set(support)
-    if fictitious:
-        # non-essential variables cannot change f; pin them to evaluate
-        f = _expr.restrict(f, Subspace.from_items(n, [(v, 0) for v in fictitious]))
-    k = len(support)
-    table = _expr.truth_table(f, support, cap)
-    minterms = [r for r in range(1 << k) if ((table >> r) & 1) == c]
-    out = []
-    for mask, vals in _merge_cubes(k, minterms):
-        items = []
-        for j, v in enumerate(support):
-            bit = 1 << (k - 1 - j)
-            if mask & bit:
-                items.append((v, 1 if vals & bit else 0))
-        out.append(PrimeImplicant(Subspace.from_items(n, items), c, target))
-    return out
+    return [
+        PrimeImplicant(Subspace.from_items(n, tail), c, target)
+        for tail in _implicant_tails(f, target, cap, {})[c]
+    ]
 
 
 @dataclass(frozen=True)
@@ -138,11 +129,10 @@ class PrimeImplicantGraph:
 def build_graph(net: BooleanNetwork, cap: int = _expr.DEFAULT_SUPPORT_CAP) -> PrimeImplicantGraph:
     """Enumerate all prime implicants of the network and assemble the graph."""
     entries = []
+    memo: dict = {}
     for i, f in enumerate(net.functions):
-        for c in (1, 0):
-            for pi in c_prime_implicants(f, c, i, net.n, cap):
-                tail = tuple(sorted(pi.subspace.items()))
-                entries.append((i, 1 - c, tail))
+        for c, tails in enumerate(_implicant_tails(f, i, cap, memo)):
+            entries.extend((i, 1 - c, tail) for tail in tails)
     entries.sort()
     arcs = tuple(
         HyperArc(idx + 1, tail, (i, 1 - inv_c))

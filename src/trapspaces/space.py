@@ -201,11 +201,7 @@ class BooleanNetwork:
     @cached_property
     def _tables(self) -> list[tuple[tuple[int, ...], int]]:
         """Per function: sorted syntactic support and its truth table."""
-        out = []
-        for f in self.functions:
-            support = tuple(sorted(_expr.syntactic_support(f)))
-            out.append((support, _expr.truth_table(f, support)))
-        return out
+        return [_expr.tabulate(f) for f in self.functions]
 
     def eval_function(self, i: int, x: int) -> int:
         """Value of the i-th update function at integer state ``x``."""

@@ -1,8 +1,10 @@
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from trapspaces import GeneratorConfig, generate, parse_network
+from trapspaces import expr
 
 EXAMPLE_TEXT = """\
 targets, factors
@@ -48,6 +50,29 @@ def corpus(count, sizes=(4, 5, 6, 7, 8, 9, 10), k=3.0, seed0=0):
     for i in range(count):
         n = sizes[i % len(sizes)]
         yield generate(GeneratorConfig(n=n, k=k, seed=seed0 + i))
+
+
+def expressions(n):
+    """Random ASTs: nested Not/And/Or over constants and repeated variables,
+    with hidden constants (a & !a, a | !a) and fictitious variables
+    (a & (b | !b)) planted in subtrees."""
+    leaves = st.one_of(
+        st.builds(expr.Var, st.integers(0, n - 1)),
+        st.builds(expr.Const, st.integers(0, 1)),
+    )
+
+    def extend(inner):
+        children = st.lists(inner, min_size=2, max_size=4).map(tuple)
+        return st.one_of(
+            st.builds(expr.Not, inner),
+            st.builds(expr.And, children),
+            st.builds(expr.Or, children),
+            st.builds(lambda a: expr.And((a, expr.Not(a))), inner),
+            st.builds(lambda a: expr.Or((expr.Not(a), a)), inner),
+            st.builds(lambda a, b: expr.And((a, expr.Or((b, expr.Not(b))))), inner, inner),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
 
 
 def fixture_path(name):

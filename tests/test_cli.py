@@ -306,3 +306,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "--support-cap", "5", "primes", str(path))
         assert code == 3
         assert "resource limit" in err
+
+    def test_support_cap_applies_to_syntactic_support(self, capsys, tmp_path):
+        # six syntactic variables but one essential one still exceed cap 5
+        path = tmp_path / "fictitious.bnet"
+        names = [f"x{i}" for i in range(6)]
+        factor = f"x0 | ({' & '.join(names[1:])} & !x1)"
+        lines = ["targets, factors"] + [f"{name}, {factor}" for name in names]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(capsys, "--support-cap", "6", "primes", str(path))[0] == 0
+        code, _, err = run(capsys, "--support-cap", "5", "primes", str(path))
+        assert code == 3
+        assert "resource limit" in err

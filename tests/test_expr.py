@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapspaces import expr
 from trapspaces.errors import (
@@ -9,6 +11,10 @@ from trapspaces.errors import (
     UnknownVariableError,
 )
 from trapspaces.space import Subspace
+
+from conftest import expressions
+
+N = 5  # variables available to generated expressions
 
 VOCAB = ("v1", "v2", "v3", "v4")
 
@@ -174,6 +180,34 @@ class TestTruthTable:
         f = expr.Or(tuple(expr.Var(i) for i in range(4)))
         with pytest.raises(SupportTooLargeError):
             expr.truth_table(f, [0, 1, 2, 3], cap=3)
+
+
+class TestTablesAgainstEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(f=expressions(N), order=st.permutations(range(N)), extra=st.integers(0, N))
+    def test_truth_table_equals_row_by_row_evaluation(self, f, order, extra):
+        # the support is unsorted and may hold variables f does not mention
+        syntactic = expr.syntactic_support(f)
+        support = [v for j, v in enumerate(order) if v in syntactic or j < extra]
+        k = len(support)
+        want = 0
+        for row in range(1 << k):
+            x = Subspace.from_items(
+                N, [(v, (row >> (k - 1 - j)) & 1) for j, v in enumerate(support)]
+            )
+            want |= expr.evaluate(f, x) << row
+        assert expr.truth_table(f, support) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=expressions(N))
+    def test_constant_and_essential_support_agree_with_exhaustive_evaluation(self, f):
+        values = [expr.evaluate(f, Subspace.from_state(N, x)) for x in range(1 << N)]
+        assert expr.constant_value(f) == (values[0] if len(set(values)) == 1 else None)
+        essential = {
+            v for v in range(N)
+            if any(values[x] != values[x ^ (1 << (N - 1 - v))] for x in range(1 << N))
+        }
+        assert expr.essential_support(f) == essential
 
 
 def _random_expression(rng, n, depth=3):

@@ -1,14 +1,17 @@
+import hashlib
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trapspaces import parse_network
+from trapspaces import GeneratorConfig, generate, parse_network
 from trapspaces.errors import SupportTooLargeError
-from trapspaces.expr import parse_expression, evaluate
+from trapspaces.expr import constant_value, evaluate, parse_expression
 from trapspaces.primes import HyperArc, build_graph, c_prime_implicants
 from trapspaces.space import BooleanNetwork, Subspace, referenced_states, subspace_lt
 
-from conftest import corpus
+from conftest import corpus, expressions
 
 VOCAB = ("v1", "v2", "v3", "v4")
 
@@ -61,6 +64,17 @@ class TestCPrimeImplicants:
         with pytest.raises(SupportTooLargeError):
             c_prime_implicants(f, 1, 0, 6, cap=5)
 
+    def test_support_cap_counts_fictitious_variables(self):
+        # six syntactic variables, only x0 essential: the cap still applies
+        names = tuple(f"x{i}" for i in range(6))
+        f = parse_expression("x0 | (x1 & !x1 & x2 & x3 & x4 & x5)", names)
+        assert [str(pi.subspace) for pi in c_prime_implicants(f, 1, 0, 6)] == ["1-----"]
+        with pytest.raises(SupportTooLargeError):
+            c_prime_implicants(f, 1, 0, 6, cap=5)
+        net = BooleanNetwork(names, (f,) * 6)
+        with pytest.raises(SupportTooLargeError):
+            build_graph(net, cap=5)
+
     def test_against_brute_force_oracle(self):
         # soundness, primality and coverage for every non-constant function
         # of a corpus (constant functions use the self-loop convention,
@@ -76,6 +90,19 @@ class TestCPrimeImplicants:
                         pi.subspace for pi in c_prime_implicants(f, c, i, net.n)
                     }
                     assert got == _oracle_primes(f, c, net.n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), c=st.integers(0, 1))
+    def test_random_expressions_against_brute_force_oracle(self, data, n, c):
+        f = data.draw(expressions(n))
+        target = data.draw(st.integers(0, n - 1))
+        got = {pi.subspace for pi in c_prime_implicants(f, c, target, n)}
+        constant = constant_value(f)
+        if constant is None:
+            assert got == _oracle_primes(f, c, n)
+        else:
+            # the self-loop convention for constant functions
+            assert got == ({Subspace.from_items(n, [(target, c)])} if constant == c else set())
 
 
 def _oracle_primes(f, c, n):
@@ -174,3 +201,19 @@ class TestGraphGeneral:
             keys = [(a.head[0], 1 - a.head[1], a.tail) for a in g.arcs]
             assert keys == sorted(keys)
             assert [a.id for a in g.arcs] == list(range(1, len(g.arcs) + 1))
+
+
+# SHA-256 of the (id, tail, head) arc lists of build_graph on corpus(200)
+# and the eight dense-export networks, recorded from the earlier
+# Quine-McCluskey prime generation so that it pins the arcs independently
+# of the Shannon expansion that replaced it
+GOLDEN_ARCS_SHA256 = "65c57b9e9859814478282e3b44e7435ac4c422c351d7fb8ea8105af57874069a"
+
+
+def test_golden_arc_hash():
+    dense = [generate(GeneratorConfig(n=10, k=5, seed=s, degree_cap=6)) for s in range(8)]
+    digest = hashlib.sha256()
+    for net in [*corpus(200), *dense]:
+        arcs = build_graph(net).arcs
+        digest.update(repr([(a.id, a.tail, a.head) for a in arcs]).encode())
+    assert digest.hexdigest() == GOLDEN_ARCS_SHA256
