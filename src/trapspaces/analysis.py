@@ -57,7 +57,7 @@ def reduce(net: BooleanNetwork, p: Subspace, unchecked: bool = False) -> Reduced
         _expr.remap_variables(_expr.restrict(net.functions[v], p), index_map)
         for v in free
     )
-    return ReducedNetwork(net, p, BooleanNetwork(names, functions), index_map)
+    return ReducedNetwork(net, p, BooleanNetwork(names, functions, net.support_cap), index_map)
 
 
 @dataclass

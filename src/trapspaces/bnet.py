@@ -14,7 +14,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 HEADER = "targets, factors"
 
 
-def parse_network(text: str) -> BooleanNetwork:
+def parse_network(text: str, support_cap: int = _expr.DEFAULT_SUPPORT_CAP) -> BooleanNetwork:
+    """The network written in ``text``; ``support_cap`` becomes its
+    ``BooleanNetwork.support_cap``."""
     lines = [
         line.strip()
         for line in text.splitlines()
@@ -39,12 +41,12 @@ def parse_network(text: str) -> BooleanNetwork:
     functions = tuple(
         _expr.parse_expression(text_expr, names) for _, text_expr in pairs
     )
-    return BooleanNetwork(names, functions)
+    return BooleanNetwork(names, functions, support_cap)
 
 
-def load_network(path: str) -> BooleanNetwork:
+def load_network(path: str, support_cap: int = _expr.DEFAULT_SUPPORT_CAP) -> BooleanNetwork:
     with open(path, encoding="utf-8") as handle:
-        return parse_network(handle.read())
+        return parse_network(handle.read(), support_cap)
 
 
 def write_network(net: BooleanNetwork) -> str:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 input error, 3 resource limit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -43,7 +44,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first ``run`` of a process and
+    reused by every later one (parse results live in fresh namespaces)."""
     parser = _Parser(prog="trapspaces", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--timeout", type=float, default=_solver.DEFAULT_TIMEOUT,
@@ -109,7 +113,7 @@ def _build_parser() -> _Parser:
 
 
 def _load(args) -> BooleanNetwork:
-    return _bnet.load_network(args.file)
+    return _bnet.load_network(args.file, args.support_cap)
 
 
 def _space_json(net: BooleanNetwork, p: Subspace) -> dict:
@@ -385,9 +389,8 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

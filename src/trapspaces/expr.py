@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ExpressionSyntaxError, SupportTooLargeError, UnknownVariableError
 
@@ -61,95 +61,94 @@ class Or(Expression):
             raise ValueError("Or requires at least two children")
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([01])|([!&|()]))")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[01]|\S")
+_IDENT_RE = re.compile(r"[A-Za-z_]")
+_TOKEN_START_RE = re.compile(r"[A-Za-z_01!&|()]")  # else an unexpected character
+
+# deepest nesting of open '(' and pending '!' accepted; it keeps the AST
+# walkers, which recurse once per level, far from the recursion limit
+MAX_NESTING = 200
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExpressionSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-            )
-        if m.group(1):
-            yield ("ident", m.group(1), m.start(1))
-        elif m.group(2):
-            yield ("const", m.group(2), m.start(2))
-        else:
-            yield (m.group(3), m.group(3), m.start(3))
-        pos = m.end()
-    yield ("eof", "", len(text))
+def _error(text: str, tokens: list, j: int, message: Optional[str]) -> Exception:
+    """The error at token ``j`` (the end if ``j == len(tokens)``; message None:
+    an unknown variable), or an unexpected character at or after it, which
+    a separate tokenizing pass would have reported first."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    for i in range(j, len(tokens)):
+        if not _TOKEN_START_RE.match(tokens[i]):
+            return ExpressionSyntaxError(f"unexpected character {tokens[i]!r}", starts[i])
+    if message is None:
+        return UnknownVariableError(tokens[j])
+    return ExpressionSyntaxError(message, starts[j])
 
 
-class _Parser:
-    def __init__(self, text: str, vocabulary: Sequence[str]):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.index_of = {name: i for i, name in enumerate(vocabulary)}
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExpressionSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> Expression:
-        node = self.disjunction()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ExpressionSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
-        return node
-
-    def disjunction(self) -> Expression:
-        terms = [self.conjunction()]
-        while self.peek()[0] == "|":
-            self.advance()
-            terms.append(self.conjunction())
-        return terms[0] if len(terms) == 1 else Or(tuple(terms))
-
-    def conjunction(self) -> Expression:
-        factors = [self.factor()]
-        while self.peek()[0] == "&":
-            self.advance()
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else And(tuple(factors))
-
-    def factor(self) -> Expression:
-        tok = self.peek()
-        if tok[0] == "!":
-            self.advance()
-            return Not(self.factor())
-        if tok[0] == "(":
-            self.advance()
-            node = self.disjunction()
-            self.expect(")")
-            return node
-        if tok[0] == "const":
-            self.advance()
-            return Const(int(tok[1]))
-        if tok[0] == "ident":
-            self.advance()
-            if tok[1] not in self.index_of:
-                raise UnknownVariableError(tok[1])
-            return Var(self.index_of[tok[1]])
-        raise ExpressionSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
+def _join(kind: type, items: list) -> Expression:
+    return items[0] if len(items) == 1 else kind(tuple(items))
 
 
 def parse_expression(text: str, vocabulary: Sequence[str]) -> Expression:
-    """Parse ``text`` into an AST; identifiers resolve to vocabulary indices."""
-    return _Parser(text, vocabulary).parse()
+    """Parse ``text`` into an AST; identifiers resolve to vocabulary indices.
+
+    One scan and one operator-precedence pass with an explicit stack: an
+    open parenthesis pushes the enclosing (or_terms, and_factors,
+    pending_nots) frame and its closing one pops it. Repeated variables
+    share one ``Var`` node.
+    """
+    index_of = {name: i for i, name in enumerate(vocabulary)}
+    tokens = _TOKEN_RE.findall(text)
+    nodes = {"0": Const(0), "1": Const(1)}
+    stack: list[tuple[list, list, int]] = []
+    terms: list = []
+    factors: list = []
+    nots = depth = 0
+    operand = True  # an operand comes next
+    for j, token in enumerate(tokens):
+        if operand:
+            if token == "!" or token == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise _error(text, tokens, j, f"nesting deeper than {MAX_NESTING}")
+                if token == "!":
+                    nots += 1
+                else:
+                    stack.append((terms, factors, nots))
+                    terms, factors, nots = [], [], 0
+                continue
+            node = nodes.get(token)
+            if node is None:
+                if not _IDENT_RE.match(token):
+                    raise _error(text, tokens, j, f"unexpected token {token!r}")
+                if token not in index_of:
+                    raise _error(text, tokens, j, None)
+                node = nodes[token] = Var(index_of[token])
+        elif token == "&":
+            operand = True
+            continue
+        elif token == "|":
+            terms.append(_join(And, factors))
+            factors = []
+            operand = True
+            continue
+        elif token == ")" and stack:
+            terms.append(_join(And, factors))
+            node = _join(Or, terms)
+            terms, factors, nots = stack.pop()
+            depth -= 1
+        else:
+            raise _error(text, tokens, j, f"expected ')', found {token!r}" if stack
+                         else f"unexpected token {token!r}")
+        depth -= nots
+        while nots:
+            node = Not(node)
+            nots -= 1
+        factors.append(node)
+        operand = False
+    if operand or stack:
+        raise _error(text, tokens, len(tokens), "unexpected token ''" if operand
+                     else "expected ')', found ''")
+    terms.append(_join(And, factors))
+    return _join(Or, terms)
 
 
 def format_expression(f: Expression, vocabulary: Sequence[str]) -> str:
@@ -240,18 +239,19 @@ def restrict(f: Expression, p) -> Expression:
 
 def syntactic_support(f: Expression) -> set[int]:
     """Indices of all variables occurring in ``f``."""
-    if isinstance(f, Const):
-        return set()
-    if isinstance(f, Var):
-        return {f.index}
-    if isinstance(f, Not):
-        return syntactic_support(f.child)
-    if isinstance(f, (And, Or)):
-        out: set[int] = set()
-        for child in f.children:
-            out |= syntactic_support(child)
-        return out
-    raise TypeError(f"not an expression node: {f!r}")
+    out: set[int] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Var):
+            out.add(g.index)
+        elif isinstance(g, Not):
+            stack.append(g.child)
+        elif isinstance(g, (And, Or)):
+            stack.extend(g.children)
+        elif not isinstance(g, Const):
+            raise TypeError(f"not an expression node: {g!r}")
+    return out
 
 
 def _column(k: int, pos: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from . import expr as _expr
 from .space import BooleanNetwork, Subspace
@@ -65,11 +66,11 @@ def _primes(table: int, k: int, memo: dict) -> list[tuple[int, int]]:
     return memo[key]
 
 
-def _implicant_tails(f: _expr.Expression, target: int, cap: int, memo: dict) -> tuple[list, list]:
-    """The 0- and 1-prime implicants of f as sorted literal tuples, from one
-    truth table over the syntactic support (the cap applies to it). Only a
-    constant function c has an empty prime; it becomes ((target, c),)."""
-    support, table = _expr.tabulate(f, cap)
+def _implicant_tails(support: tuple[int, ...], table: int, target: int,
+                     memo: dict) -> tuple[list, list]:
+    """The 0- and 1-prime implicants of a function as sorted literal tuples,
+    from its truth table over its syntactic support. Only a constant
+    function c has an empty prime; it becomes ((target, c),)."""
     k = len(support)
     out = ([], [])
     for c, t in ((0, table ^ ((1 << (1 << k)) - 1)), (1, table)):
@@ -93,7 +94,7 @@ def c_prime_implicants(
     """
     return [
         PrimeImplicant(Subspace.from_items(n, tail), c, target)
-        for tail in _implicant_tails(f, target, cap, {})[c]
+        for tail in _implicant_tails(*_expr.tabulate(f, cap), target, {})[c]
     ]
 
 
@@ -126,12 +127,15 @@ class PrimeImplicantGraph:
         return self.network.n
 
 
-def build_graph(net: BooleanNetwork, cap: int = _expr.DEFAULT_SUPPORT_CAP) -> PrimeImplicantGraph:
-    """Enumerate all prime implicants of the network and assemble the graph."""
+def build_graph(net: BooleanNetwork, cap: Optional[int] = None) -> PrimeImplicantGraph:
+    """Enumerate all prime implicants of the network and assemble the graph.
+
+    The functions' supports must fit ``cap`` (default: the network's
+    ``support_cap``)."""
     entries = []
     memo: dict = {}
-    for i, f in enumerate(net.functions):
-        for c, tails in enumerate(_implicant_tails(f, i, cap, memo)):
+    for i, (support, table) in enumerate(net.tables(cap)):
+        for c, tails in enumerate(_implicant_tails(support, table, i, memo)):
             entries.extend((i, 1 - c, tail) for tail in tails)
     entries.sort()
     arcs = tuple(

@@ -9,13 +9,12 @@ and are interchangeably handled as plain integers where speed matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from . import expr as _expr
-from .errors import CapExceededError, TrapSpacesError
+from .errors import CapExceededError, SupportTooLargeError, TrapSpacesError
 
 DEFAULT_ENUM_CAP = 24
 
@@ -171,10 +170,20 @@ def smallest_enclosing_subspace(states: Iterable[int], n: int) -> Subspace:
 
 @dataclass(frozen=True)
 class BooleanNetwork:
-    """Ordered variables plus one update expression per variable."""
+    """Ordered variables plus one update expression per variable.
+
+    Each function's sorted syntactic support is computed once, when the
+    network is built, and its truth table once, on first use (``tables``).
+    ``support_cap`` bounds the supports tabulated for the state-space
+    oracle (``eval_function``, ``restricted_constant``) and for any other
+    caller that passes no cap of its own.
+    """
 
     variables: tuple[str, ...]
     functions: tuple[_expr.Expression, ...]
+    support_cap: int = field(default=_expr.DEFAULT_SUPPORT_CAP, compare=False, repr=False)
+    supports: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _tables: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.variables) < 1:
@@ -183,10 +192,11 @@ class BooleanNetwork:
             raise ValueError("variables and functions must align")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
+        supports = tuple(tuple(sorted(_expr.syntactic_support(f))) for f in self.functions)
         n = len(self.variables)
-        for f in self.functions:
-            if any(i >= n or i < 0 for i in _expr.syntactic_support(f)):
-                raise ValueError("function references an undeclared variable")
+        if any(s and (s[0] < 0 or s[-1] >= n) for s in supports):
+            raise ValueError("function references an undeclared variable")
+        object.__setattr__(self, "supports", supports)
 
     @property
     def n(self) -> int:
@@ -198,14 +208,26 @@ class BooleanNetwork:
         functions = tuple(_expr.parse_expression(text, names) for _, text in pairs)
         return BooleanNetwork(names, functions)
 
-    @cached_property
-    def _tables(self) -> list[tuple[tuple[int, ...], int]]:
-        """Per function: sorted syntactic support and its truth table."""
-        return [_expr.tabulate(f) for f in self.functions]
+    def tables(self, cap: Optional[int] = None) -> list[tuple[tuple[int, ...], int]]:
+        """Per function: its sorted syntactic support and the truth table over
+        it (``expr.truth_table``), tabulated on the first call and shared by
+        every later one. Each call checks the supports against ``cap``
+        (default ``support_cap``) and raises SupportTooLargeError at the
+        first one above it."""
+        cap = self.support_cap if cap is None else cap
+        for support in self.supports:
+            if len(support) > cap:
+                raise SupportTooLargeError(len(support), cap)
+        if self._tables is None:
+            object.__setattr__(self, "_tables", [
+                (support, _expr.truth_table(f, support, cap))
+                for support, f in zip(self.supports, self.functions)
+            ])
+        return self._tables
 
     def eval_function(self, i: int, x: int) -> int:
         """Value of the i-th update function at integer state ``x``."""
-        support, table = self._tables[i]
+        support, table = (self._tables or self.tables())[i]
         row = 0
         for v in support:
             row = (row << 1) | ((x >> (self.n - 1 - v)) & 1)
@@ -221,7 +243,7 @@ class BooleanNetwork:
 
     def restricted_constant(self, i: int, p: Subspace) -> Optional[int]:
         """Constant value of the i-th function restricted to ``p``, if any."""
-        support, table = self._tables[i]
+        support, table = (self._tables or self.tables())[i]
         k = len(support)
         if k == 0:
             return table & 1

@@ -1,5 +1,6 @@
 import pytest
 
+from trapspaces import GeneratorConfig, generate
 from trapspaces.bnet import load_network, parse_network, write_network
 from trapspaces.errors import (
     ExpressionSyntaxError,
@@ -7,7 +8,7 @@ from trapspaces.errors import (
     UnknownVariableError,
 )
 
-from conftest import EXAMPLE_TEXT
+from conftest import EXAMPLE_TEXT, corpus
 
 
 class TestParseNetwork:
@@ -67,6 +68,14 @@ class TestParseNetwork:
 class TestWriteNetwork:
     def test_round_trip(self, example_net):
         assert parse_network(write_network(example_net)) == example_net
+
+    def test_round_trip_corpus_and_dense_networks(self):
+        # corpus(200) and the dense-export networks of both benchmark scales
+        dense = [generate(GeneratorConfig(n=n, k=k, seed=s, degree_cap=cap))
+                 for n, k, cap, count in ((10, 5.0, 6, 8), (16, 7.0, 9, 3))
+                 for s in range(count)]
+        for net in [*corpus(200), *dense]:
+            assert parse_network(write_network(net)) == net
 
     def test_example_byte_exact(self, example_net):
         assert write_network(example_net) == EXAMPLE_TEXT

@@ -124,6 +124,23 @@ class TestAttractors:
         assert code == 3
         assert "resource limit" in err
 
+    def test_support_cap_reaches_the_state_graph(self, capsys, tmp_path):
+        # 17 variables, and the first function reads all of them
+        path = tmp_path / "wide17.bnet"
+        names = [f"x{i}" for i in range(17)]
+        lines = ["targets, factors", f"x0, {' | '.join(names)}"]
+        lines += [f"{name}, {name}" for name in names[1:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "--stg-cap", "20", "attractors", "--update", "sync",
+                           str(path))
+        assert code == 3
+        assert "support of size 17 exceeds cap of 16" in err
+        code, out, _ = run(capsys, "--support-cap", "20", "--stg-cap", "20",
+                           "attractors", "--update", "sync", str(path))
+        assert code == 0
+        # the steady states: the 2^16 with x0 = 1, and the all-zero state
+        assert len(out.splitlines()) == (1 << 16) + 1
+
 
 class TestReduce:
     def test_reduction_output_is_a_network_file(self, capsys, example_file):
@@ -307,6 +324,28 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    @pytest.mark.parametrize("factor", [
+        "(" * 3000 + "a" + ")" * 3000,
+        "!" * 3000 + "a",
+    ], ids=["parentheses", "negations"])
+    def test_deep_nesting_is_an_input_error(self, capsys, tmp_path, factor):
+        path = tmp_path / "deep.bnet"
+        path.write_text(f"targets, factors\na, {factor}\n", encoding="utf-8")
+        code, _, err = run(capsys, "primes", str(path))
+        assert code == 2
+        assert "input error" in err
+        assert "Traceback" not in err
+
+    def test_support_cap_reaches_the_analysis_commands(self, capsys, tmp_path):
+        path = tmp_path / "wide.bnet"
+        names = [f"x{i}" for i in range(6)]
+        lines = ["targets, factors"] + [f"{name}, {' | '.join(names)}" for name in names]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(capsys, "--support-cap", "6", "bound", str(path))[0] == 0
+        code, _, err = run(capsys, "--support-cap", "5", "bound", str(path))
+        assert code == 3
+        assert "resource limit" in err
+
     def test_support_cap_applies_to_syntactic_support(self, capsys, tmp_path):
         # six syntactic variables but one essential one still exceed cap 5
         path = tmp_path / "fictitious.bnet"
@@ -318,3 +357,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "--support-cap", "5", "primes", str(path))
         assert code == 3
         assert "resource limit" in err
+
+
+class TestInProcessReuse:
+    def test_calls_do_not_share_state(self, capsys, example_file):
+        def limited():
+            code, out, err = run(capsys, "--limit", "1", "--json", "trapspaces",
+                                 example_file)
+            doc = json.loads(out)
+            del doc["stats"]["elapsed"]
+            return code, doc, err
+
+        with open(fixture_path("example_min.lp"), encoding="utf-8") as fh:
+            ilp = fh.read()
+        first = limited()
+        assert first[0] == 3
+        assert len(first[1]["spaces"]) == 1
+        assert run(capsys, "encode", "--format", "ilp", "--mode", "min",
+                   example_file)[:2] == (0, ilp)
+        code, _, err = run(capsys, "encode", "--format", "ilp", example_file)
+        assert code == 1 and "usage error" in err
+        assert run(capsys, "check", example_file)[:2] == (0, "OK\n")
+        # without --limit the default applies again
+        code, out, _ = run(capsys, "--json", "trapspaces", example_file)
+        assert code == 0
+        assert len(json.loads(out)["spaces"]) == 2
+        assert limited() == first

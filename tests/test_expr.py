@@ -64,6 +64,64 @@ class TestParsing:
         with pytest.raises(ExpressionSyntaxError):
             parse("v1 v2")
 
+    @pytest.mark.parametrize("text,message,position", [
+        ("v1 + v2", "unexpected character '+'", 3),  # bad character
+        ("2", "unexpected character '2'", 0),
+        ("v1 v2 +", "unexpected character '+'", 6),  # reported before the syntax error
+        ("v1 | ", "unexpected token ''", 5),  # dangling operator
+        ("v1 &", "unexpected token ''", 4),
+        ("v1 | !", "unexpected token ''", 6),
+        ("(v1 | v2", "expected ')', found ''", 8),  # unclosed parenthesis
+        ("((v1)", "expected ')', found ''", 5),
+        ("(v1 v2)", "expected ')', found 'v2'", 4),
+        ("v1)", "unexpected token ')'", 2),  # stray parenthesis
+        (")", "unexpected token ')'", 0),
+        ("v1 | (v2 &) | v3", "unexpected token ')'", 10),
+        ("v1 v2", "unexpected token 'v2'", 3),  # trailing token
+        ("01", "unexpected token '1'", 1),
+        ("v1 bogus", "unexpected token 'bogus'", 3),
+        ("", "unexpected token ''", 0),  # empty text
+        ("   ", "unexpected token ''", 3),
+    ])
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert str(info.value) == f"{message} (at position {position})"
+
+    @pytest.mark.parametrize("text", ["bogus", "v1 | bogus", "!(v2 & bogus)"])
+    def test_unknown_variable_error(self, text):
+        with pytest.raises(UnknownVariableError) as info:
+            parse(text)
+        assert info.value.name == "bogus"
+
+    def test_parentheses_are_not_flattened(self):
+        a, b, c = expr.Var(0), expr.Var(1), expr.Var(2)
+        assert parse("(v1 & v2) & v3") == expr.And((expr.And((a, b)), c))
+        assert parse("v1 | (v2 | v3)") == expr.Or((a, expr.Or((b, c))))
+        assert parse("!!(v1)") == expr.Not(expr.Not(a))
+
+    @pytest.mark.parametrize("opener", ["(", "!", "!("])
+    def test_nesting_limit(self, opener):
+        closer = ")" * opener.count("(")
+        levels = expr.MAX_NESTING // len(opener)
+        deepest = opener * levels + "v1" + closer * levels
+        assert expr.syntactic_support(parse(deepest)) == {0}
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse("!" + deepest)
+        assert info.value.position == expr.MAX_NESTING
+        assert "nesting deeper than" in str(info.value)
+
+    def test_nesting_counts_only_open_levels(self):
+        f = parse(" & ".join(["!(!v1 | (v2))"] * 3 * expr.MAX_NESTING))
+        assert len(f.children) == 3 * expr.MAX_NESTING
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=expressions(N))
+    def test_format_round_trip(self, f):
+        vocab = tuple(f"x{i}" for i in range(N))
+        assert parse(expr.format_expression(f, vocab), vocab) == f
+
 
 class TestEvaluate:
     def test_example_f1_at_1101(self):
