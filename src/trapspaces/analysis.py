@@ -66,6 +66,9 @@ class CyclicLowerBound:
     witnesses: list[Subspace]
     # per witness, the free variables (some of which must oscillate)
     oscillating_candidates: list[list[str]]
+    # False when --limit truncated the minimal trap spaces: the count may
+    # then include non-minimal spaces and is no sound bound
+    complete: bool
 
 
 def cyclic_attractor_lower_bound(
@@ -83,6 +86,7 @@ def cyclic_attractor_lower_bound(
         oscillating_candidates=[
             [net.variables[v] for v in p.free_vars()] for p in witnesses
         ],
+        complete=report.stats["complete"],
     )
 
 
@@ -92,6 +96,7 @@ class CommitmentTable:
     steady_counts: list[int]
     sync_cyclic_counts: Optional[list[int]]
     async_cyclic_counts: Optional[list[int]]
+    complete: bool  # False when the limit truncated the spaces or steady states
 
 
 def commitment_table(
@@ -110,7 +115,10 @@ def commitment_table(
     """
     report = _solver.max_trap_spaces(net, limit, timeout)
     spaces = report.spaces
-    steady = _solver.steady_states(net, limit, timeout)
+    # one state more than the limit tells a truncated list from a full one
+    steady = _solver.steady_states(net, limit + 1, timeout)
+    complete = report.stats["complete"] and len(steady) <= limit
+    steady = steady[:limit]
     steady_counts = [
         sum(1 for x in steady if subspace_leq(x, p)) for p in spaces
     ]
@@ -125,7 +133,7 @@ def commitment_table(
             sync_counts = counts
         else:
             async_counts = counts
-    return CommitmentTable(spaces, steady_counts, sync_counts, async_counts)
+    return CommitmentTable(spaces, steady_counts, sync_counts, async_counts, complete)
 
 
 def _cyclic_containment_counts(
@@ -151,6 +159,7 @@ class AttractorAudit:
     rule: str
     per_space: list[SpaceAudit]
     outside: list[list[int]]  # attractors contained in no minimal trap space
+    complete: bool  # False when the limit truncated the minimal trap spaces
 
 
 def attractor_trapspace_audit(
@@ -179,4 +188,4 @@ def attractor_trapspace_audit(
             SpaceAudit(p, len(inside), [enclosing[i] == p for i in inside])
         )
     outside = [attrs[i] for i in range(len(attrs)) if not covered[i]]
-    return AttractorAudit(rule, per_space, outside)
+    return AttractorAudit(rule, per_space, outside, report.stats["complete"])

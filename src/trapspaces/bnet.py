@@ -36,10 +36,11 @@ def parse_network(text: str, support_cap: int = _expr.DEFAULT_SUPPORT_CAP) -> Bo
             raise NetworkFormatError(f"bad variable name {name!r}")
         pairs.append((name, text_expr.strip()))
     names = tuple(name for name, _ in pairs)
-    if len(set(names)) != len(names):
+    index_of = {name: i for i, name in enumerate(names)}
+    if len(index_of) != len(names):
         raise NetworkFormatError("duplicate variable names")
     functions = tuple(
-        _expr.parse_expression(text_expr, names) for _, text_expr in pairs
+        _expr.parse_expression(text_expr, index_of) for _, text_expr in pairs
     )
     return BooleanNetwork(names, functions, support_cap)
 

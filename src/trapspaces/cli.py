@@ -129,6 +129,17 @@ def _report_json(net, report) -> dict:
     }
 
 
+def _stopped(stop: str) -> int:
+    """The exit code for a solve that stopped for ``stop``, after a warning
+    on stderr when the results printed are incomplete."""
+    if stop == "limit":
+        print("warning: enumeration truncated by --limit", file=sys.stderr)
+    elif stop == "timeout":
+        print("resource limit: solver wall-clock budget exhausted; "
+              "the results printed are those found before it", file=sys.stderr)
+    return EXIT_OK if stop == "complete" else EXIT_RESOURCE
+
+
 def _emit_report(net, report, args) -> int:
     if args.json:
         print(json.dumps(_report_json(net, report)))
@@ -138,10 +149,7 @@ def _emit_report(net, report, args) -> int:
                   "is the unique minimal trap space", file=sys.stderr)
         for p in report.spaces:
             print(p)
-    if not report.stats.get("complete", True):
-        print("warning: enumeration truncated by --limit", file=sys.stderr)
-        return EXIT_RESOURCE
-    return EXIT_OK
+    return _stopped(report.stats["stop"])
 
 
 def _cmd_primes(args) -> int:
@@ -168,21 +176,31 @@ def _cmd_trapspaces(args) -> int:
         return EXIT_OK
     g = build_graph(net, cap=args.support_cap)
     fn = _solver.min_trap_spaces if args.mode == "min" else _solver.max_trap_spaces
-    report = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
+    try:
+        report = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
+    except SolverTimeoutError as exc:
+        report = _solver.trap_space_report(g, exc.partial, args.mode)
     return _emit_report(net, report, args)
 
 
 def _cmd_steady(args) -> int:
     net = _load(args)
     g = build_graph(net, cap=args.support_cap)
-    states = _solver.steady_states(net, limit=args.limit, timeout=args.timeout, graph=g)
+    # one state more than the limit tells a truncated list from a full one
+    try:
+        states = _solver.steady_states(net, limit=args.limit + 1, timeout=args.timeout,
+                                       graph=g)
+        stop = "limit" if len(states) > args.limit else "complete"
+    except SolverTimeoutError as exc:
+        states, stop = _solver.spaces_of(exc.partial), "timeout"
+    states = states[:args.limit]
     if args.json:
         print(json.dumps({"mode": "steady",
                           "spaces": [_space_json(net, x) for x in states]}))
     else:
         for x in states:
             print(x)
-    return EXIT_OK
+    return _stopped(stop)
 
 
 def _cmd_attractors(args) -> int:
@@ -233,11 +251,11 @@ def _cmd_bound(args) -> int:
             "witnesses": [str(p) for p in bound.witnesses],
             "oscillating_candidates": bound.oscillating_candidates,
         }))
-        return EXIT_OK
-    print(f"cyclic attractors >= {bound.count}")
-    for p, names in zip(bound.witnesses, bound.oscillating_candidates):
-        print(f"{p} oscillating among: {' '.join(names)}")
-    return EXIT_OK
+    else:
+        print(f"cyclic attractors >= {bound.count}")
+        for p, names in zip(bound.witnesses, bound.oscillating_candidates):
+            print(f"{p} oscillating among: {' '.join(names)}")
+    return _stopped("complete" if bound.complete else "limit")
 
 
 def _cmd_commitment(args) -> int:
@@ -253,7 +271,7 @@ def _cmd_commitment(args) -> int:
     print(",".join(header))
     for row in rows:
         print(",".join(row))
-    return EXIT_OK
+    return _stopped("complete" if table.complete else "limit")
 
 
 def _cmd_audit(args) -> int:
@@ -270,12 +288,12 @@ def _cmd_audit(args) -> int:
             ],
             "outside": [len(a) for a in audit.outside],
         }))
-        return EXIT_OK
-    for a in audit.per_space:
-        tight = " ".join("tight" if t else "loose" for t in a.tight) or "-"
-        print(f"{a.space} attractors={a.attractor_count} {tight}")
-    print(f"attractors outside all minimal trap spaces: {len(audit.outside)}")
-    return EXIT_OK
+    else:
+        for a in audit.per_space:
+            tight = " ".join("tight" if t else "loose" for t in a.tight) or "-"
+            print(f"{a.space} attractors={a.attractor_count} {tight}")
+        print(f"attractors outside all minimal trap spaces: {len(audit.outside)}")
+    return _stopped("complete" if audit.complete else "limit")
 
 
 def _cmd_check(args) -> int:

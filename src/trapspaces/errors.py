@@ -48,7 +48,12 @@ class NotATrapSpaceError(TrapSpacesError):
 
 
 class SolverTimeoutError(TrapSpacesError):
-    """Raised when enumeration exceeds the configured wall-clock budget."""
+    """Raised when enumeration exceeds the configured wall-clock budget;
+    ``partial`` holds what was found before, flagged incomplete."""
+
+    def __init__(self, message, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class NetworkFormatError(TrapSpacesError):

@@ -10,6 +10,7 @@ All nodes are immutable and safe to share between workers.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,15 +88,18 @@ def _join(kind: type, items: list) -> Expression:
     return items[0] if len(items) == 1 else kind(tuple(items))
 
 
-def parse_expression(text: str, vocabulary: Sequence[str]) -> Expression:
+def parse_expression(text: str, vocabulary: Sequence[str] | Mapping[str, int]) -> Expression:
     """Parse ``text`` into an AST; identifiers resolve to vocabulary indices.
+    A caller parsing many expressions over one vocabulary passes the
+    name-to-index mapping, built once.
 
     One scan and one operator-precedence pass with an explicit stack: an
     open parenthesis pushes the enclosing (or_terms, and_factors,
     pending_nots) frame and its closing one pops it. Repeated variables
     share one ``Var`` node.
     """
-    index_of = {name: i for i, name in enumerate(vocabulary)}
+    index_of = (vocabulary if isinstance(vocabulary, Mapping)
+                else {name: i for i, name in enumerate(vocabulary)})
     tokens = _TOKEN_RE.findall(text)
     nodes = {"0": Const(0), "1": Const(1)}
     stack: list[tuple[list, list, int]] = []

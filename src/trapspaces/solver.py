@@ -1,19 +1,28 @@
-"""Enumeration of extremal stable-and-consistent arc sets and trap spaces.
+"""Enumeration of extremal trap spaces by one literal-level search.
 
-A set of hyperarcs is consistent when no two selected heads assign opposite
-values to the same variable, and stable when every tail literal of a selected
-arc is the head of some selected arc. Inclusion-maximal such sets induce the
-minimal trap spaces; inclusion-minimal non-empty ones induce the maximal trap
-spaces. The enumerator repeatedly finds a cardinality-optimal feasible arc
-set by a complete, deterministic branch-and-bound search, emits it, and
-installs a no-good cut (forbidding subsets in max mode, supersets in min
-mode) until the problem becomes infeasible.
+A trap space is a consistent set L of literals in which every literal has a
+provider: a prime-implicant arc whose head is that literal and whose tail
+lies in L (the siphon view of Trinh, Benhamou et al.). Minimal trap spaces
+are the inclusion-maximal such sets; maximal trap spaces are the
+inclusion-minimal non-empty ones.
 
-Search internals: every cardinality-maximal arc set is the full set of arcs
-compatible with some trap space, so max mode branches over per-variable
-states (fixed 1 / fixed 0 / free) with arc-liveness propagation. Min mode
-branches over the candidate providers of uncovered tail literals, which
-confines the search to arcs reachable from the requirements.
+One depth-first search, on an explicit stack, decides a status per variable
+(fixed 1, fixed 0 or free) and keeps the set of arcs still compatible with
+some completion alive. It branches in a preference order, so its first leaf
+is already extremal (Di Rosa, Giunchiglia & Maratea 2010): fixed values
+before free give an inclusion-maximal literal set, a minimal trap space;
+free before fixed values give an inclusion-minimal non-empty one, a maximal
+trap space. Steady states use the first order with free disallowed. Each
+space found becomes a no-good on its literal set (some fixed literal outside
+it, or some literal of it absent), and the search resumes where it stopped;
+the next leaf it reaches is extremal again. No cardinality bound or
+optimality proof is needed.
+
+The arc-set view is kept for witnesses and checks: a set of arcs is
+consistent when no two heads assign opposite values to one variable, and
+stable when every tail literal of a selected arc is the head of a selected
+arc. Inclusion-maximal such sets induce the minimal trap spaces and
+inclusion-minimal non-empty ones the maximal trap spaces.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from typing import Iterable, Optional
 
 from .errors import InconsistentArcSetError, SolverTimeoutError, TrapSpacesError
 from .primes import PrimeImplicantGraph, build_graph
-from .space import BooleanNetwork, Subspace, subspace_lt
+from .space import BooleanNetwork, Subspace
 
 DEFAULT_LIMIT = 100_000
 DEFAULT_TIMEOUT = 600.0
@@ -84,41 +93,25 @@ class _Infeasible(Exception):
 
 
 class _Instance:
-    """Bitmask view of a prime implicant graph (arc a of id k has bit k-1)."""
+    """Bitmask view of a prime implicant graph: arc of id k has bit k-1 and
+    the literal (v, c) has bit 2*v + c."""
 
     def __init__(self, g: PrimeImplicantGraph):
-        self.g = g
         self.n = g.n
         self.m = len(g.arcs)
-        self.all_mask = (1 << self.m) - 1
-        self.head_lit = []  # literal id 2*v + c
-        self.tails = []  # list of literal ids
-        self.tail_litmask = []  # bitmask over the 2n literal ids
+        self.head_lit = []
+        self.tail_litmask = []
         self.heads_mask = [0] * (2 * g.n)  # arcs providing each literal
-        for arc in g.arcs:
+        self.tailed_by = [0] * (2 * g.n)  # arcs with each literal in their tail
+        for a, arc in enumerate(g.arcs):
             v, c = arc.head
             self.head_lit.append(2 * v + c)
-            lits = [2 * u + d for u, d in arc.tail]
-            self.tails.append(lits)
+            self.heads_mask[2 * v + c] |= 1 << a
             mask = 0
-            for lit in lits:
-                mask |= 1 << lit
+            for u, d in arc.tail:
+                mask |= 1 << (2 * u + d)
+                self.tailed_by[2 * u + d] |= 1 << a
             self.tail_litmask.append(mask)
-            self.heads_mask[2 * v + c] |= 1 << (arc.id - 1)
-        self.conflict = [
-            self.heads_mask[lit ^ 1] for lit in self.head_lit
-        ]
-        # literals committed by selecting an arc: its head plus every tail
-        # literal (tails must be covered by equal heads, so they fix values)
-        self.arc_commit = [
-            self.tail_litmask[a] | (1 << self.head_lit[a])
-            for a in range(self.m)
-        ]
-        # arcs with a given literal in their tail
-        self.tailed_by = [0] * (2 * g.n)
-        for a in range(self.m):
-            for lit in self.tails[a]:
-                self.tailed_by[lit] |= 1 << a
         # all arcs mentioning a variable in head or tail
         self.involving = [
             self.heads_mask[2 * v] | self.heads_mask[2 * v + 1]
@@ -129,44 +122,106 @@ class _Instance:
     def mask_to_ids(self, mask: int) -> tuple[int, ...]:
         return tuple(a + 1 for a in range(self.m) if mask & (1 << a))
 
+    def first_providers(self, lits: int) -> int:
+        """For each literal of ``lits``, its smallest-id arc whose tail lies
+        in ``lits``."""
+        chosen = 0
+        rest = lits
+        while rest:
+            low = rest & -rest
+            prov = self.heads_mask[low.bit_length() - 1]
+            while prov:
+                a = prov & -prov
+                if not (self.tail_litmask[a.bit_length() - 1] & ~lits):
+                    chosen |= a
+                    break
+                prov ^= a
+            else:
+                raise TrapSpacesError("a literal of the space has no provider in it")
+            rest ^= low
+        return chosen
+
 
 _UNDECIDED = -1
 _FREE = 2
 
 
-class _MaxSearch:
-    """Cardinality-maximal feasible arc set under positive clauses.
+class _Search:
+    """Depth-first search over per-variable states that returns leaves one
+    at a time, in preference order, each satisfying the no-goods installed
+    so far.
 
-    Branches over per-variable states. A leaf assignment is a trap space and
-    its solution is the set of all arcs alive there: head variable fixed at
-    the head value and every tail literal fixed accordingly. Propagation
-    keeps ``alive`` closed under tail providability (an arc whose tail
-    literal has no alive provider can never be selected) and forces literals
-    shared by all remaining providers of a fixed variable.
+    A node holds the variable states, the alive arcs (head literal and
+    every tail literal still possible), ``fixed`` (the literals decided
+    present) and ``provided`` (the literals with an alive provider).
+    Propagation keeps ``alive`` closed under tail providability, fails when
+    a fixed literal loses its last provider, frees a variable neither of
+    whose literals can be provided, and fixes the tail literals that every
+    remaining provider of a fixed literal shares. At a leaf every variable
+    is decided, and ``alive`` is exactly the set of arcs compatible with the
+    space ``fixed``.
     """
 
-    def __init__(self, inst: _Instance, clauses: list[int], allow_free: bool,
+    def __init__(self, inst: _Instance, fixed_first: bool, allow_free: bool,
                  deadline: Optional[float]):
         self.inst = inst
-        self.clauses = clauses
+        self.fixed_first = fixed_first
         self.allow_free = allow_free
         self.deadline = deadline
+        self.nogoods: list[int] = []  # literal masks of the spaces found
         self.nodes = 0
-        self.best: Optional[int] = None
-        self.best_card = 0  # the empty set is never emitted
+        # stack entries: (parent status, alive, fixed, provided, variable,
+        # value); the root decides nothing and has every literal pending,
+        # so unprovidable tails are pruned up front
+        all_lits = (1 << 2 * inst.n) - 1
+        self.stack = [([_UNDECIDED] * inst.n, (1 << inst.m) - 1, 0, all_lits, -1, _UNDECIDED)]
 
-    def solve(self) -> Optional[int]:
-        status = [_UNDECIDED] * self.inst.n
-        try:
-            # seed with every literal so unprovidable tails are pruned up front
-            self._dfs(status, self.inst.all_mask, [],
-                      set(range(2 * self.inst.n)))
-        except _Infeasible:
-            pass
-        return self.best
+    def _check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SolverTimeoutError("solver wall-clock budget exhausted")
 
-    def _propagate(self, status: list[int], alive: int, queue: list[int],
-                   pending: set[int]) -> int:
+    def next_leaf(self) -> Optional[tuple[int, int]]:
+        """The next leaf as (fixed literals, alive arcs); None once the tree
+        is exhausted. Raises SolverTimeoutError past the deadline."""
+        self._check_deadline()
+        inst = self.inst
+        stack = self.stack
+        while stack:
+            parent, alive, fixed, provided, var, value = stack.pop()
+            self.nodes += 1
+            if self.nodes % 64 == 0:
+                self._check_deadline()
+            status = list(parent)
+            if var < 0:
+                queue, pending = [], set(range(2 * inst.n))
+            else:
+                status[var] = value
+                queue, pending = [var], set()
+            try:
+                alive, fixed, provided = self._propagate(
+                    status, alive, fixed, provided, queue, pending)
+            except _Infeasible:
+                continue
+            # branch on the undecided variable touching the most alive arcs
+            branch_var, best_score = -1, -1
+            for v in range(inst.n):
+                if status[v] == _UNDECIDED:
+                    score = (alive & inst.involving[v]).bit_count()
+                    if score > best_score:
+                        branch_var, best_score = v, score
+            if branch_var < 0:
+                return fixed, alive
+            ones = (alive & inst.heads_mask[2 * branch_var + 1]).bit_count()
+            zeros = (alive & inst.heads_mask[2 * branch_var]).bit_count()
+            order = [1, 0] if ones >= zeros else [0, 1]
+            if self.allow_free:
+                order = order + [_FREE] if self.fixed_first else [_FREE] + order
+            for value in reversed(order):
+                stack.append((status, alive, fixed, provided, branch_var, value))
+        return None
+
+    def _propagate(self, status: list[int], alive: int, fixed: int, provided: int,
+                   queue: list[int], pending: set[int]) -> tuple[int, int, int]:
         """Event-driven closure: queue holds newly decided variables, pending
         holds literals whose alive provider set may have shrunk."""
         inst = self.inst
@@ -184,333 +239,87 @@ class _MaxSearch:
                 pending.add(inst.head_lit[low.bit_length() - 1])
                 dead ^= low
 
-        while queue or pending:
-            while queue:
-                v = queue.pop()
-                s = status[v]
-                if s == _FREE:
-                    kill(heads_mask[2 * v] | heads_mask[2 * v + 1]
-                         | tailed_by[2 * v] | tailed_by[2 * v + 1])
-                else:
-                    kill(heads_mask[2 * v + 1 - s] | tailed_by[2 * v + 1 - s])
-                    pending.add(2 * v + s)
-            if not pending:
-                break
-            lit = pending.pop()
-            v, c = divmod(lit, 2)
-            prov = alive & heads_mask[lit]
-            if prov == 0:
-                # nothing can induce this literal any more
-                if status[v] == c:
-                    raise _Infeasible
-                kill(tailed_by[lit])
-                if status[v] == _UNDECIDED and not (alive & heads_mask[lit ^ 1]):
-                    if not self.allow_free:
-                        raise _Infeasible
-                    status[v] = _FREE
-                    queue.append(v)
-            elif status[v] == c:
-                # every remaining provider shares these tail literals
-                common = -1
-                p = prov
-                while p:
-                    low = p & -p
-                    common &= inst.tail_litmask[low.bit_length() - 1]
-                    if common == 0:
-                        break
-                    p ^= low
-                while common > 0:
-                    low = common & -common
-                    u, d = divmod(low.bit_length() - 1, 2)
-                    if status[u] == _UNDECIDED:
-                        status[u] = d
-                        queue.append(u)
-                    common ^= low
-        for clause in self.clauses:
-            if not (clause & alive):
-                raise _Infeasible
-        return alive
-
-    def _upper_bound(self, status: list[int], alive: int) -> int:
-        total = 0
-        heads_mask = self.inst.heads_mask
-        for v in range(self.inst.n):
-            s = status[v]
-            if s == _FREE:
-                continue
-            if s == _UNDECIDED:
-                a = bin(alive & heads_mask[2 * v]).count("1")
-                b = bin(alive & heads_mask[2 * v + 1]).count("1")
-                total += a if a > b else b
-            else:
-                total += bin(alive & heads_mask[2 * v + s]).count("1")
-        return total
-
-    def _dfs(self, status: list[int], alive: int, queue: list[int],
-             pending: set[int]) -> None:
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 64 == 0:
-            if time.monotonic() > self.deadline:
-                raise SolverTimeoutError("solver wall-clock budget exhausted")
-        try:
-            alive = self._propagate(status, alive, queue, pending)
-        except _Infeasible:
-            return
-        if self._upper_bound(status, alive) <= self.best_card:
-            return
-        # branch on the undecided variable touching the most alive arcs
-        branch_var, best_score = -1, -1
-        for v in range(self.inst.n):
-            if status[v] != _UNDECIDED:
-                continue
-            score = bin(alive & self.inst.involving[v]).count("1")
-            if score > best_score:
-                branch_var, best_score = v, score
-        if branch_var < 0:
-            card = bin(alive).count("1")
-            if card > self.best_card:
-                self.best, self.best_card = alive, card
-            return
-        heads_mask = self.inst.heads_mask
-        ones = bin(alive & heads_mask[2 * branch_var + 1]).count("1")
-        zeros = bin(alive & heads_mask[2 * branch_var]).count("1")
-        order = [1, 0] if ones >= zeros else [0, 1]
-        if self.allow_free:
-            order.append(_FREE)
-        for value in order:
-            child = list(status)
-            child[branch_var] = value
-            self._dfs(child, alive, [branch_var], set())
-
-
-def _admissible_arcs(inst: _Instance) -> int:
-    """Arcs that can appear in some inclusion-minimal stable set.
-
-    A minimal stable and consistent set keeps exactly one arc per head
-    literal, and no proper non-empty subset may be closed under tail
-    coverage, so the digraph of head-to-tail literal dependencies it selects
-    is strongly connected. Hence every arc of a minimal set has its head and
-    all tail literals inside one strongly connected component of the literal
-    dependency digraph. Filtering such arcs shrinks the digraph, so iterate
-    to a fixed point.
-    """
-    alive = inst.all_mask
-    num_lits = 2 * inst.n
-    while True:
-        succ: list[set[int]] = [set() for _ in range(num_lits)]
-        a_mask = alive
-        while a_mask:
-            low = a_mask & -a_mask
-            a = low.bit_length() - 1
-            succ[inst.head_lit[a]].update(inst.tails[a])
-            a_mask ^= low
-        comp = _scc_ids(succ)
-        keep = 0
-        a_mask = alive
-        while a_mask:
-            low = a_mask & -a_mask
-            a = low.bit_length() - 1
-            cid = comp[inst.head_lit[a]]
-            if all(comp[lit] == cid for lit in inst.tails[a]):
-                keep |= low
-            a_mask ^= low
-        if keep == alive:
-            return alive
-        alive = keep
-
-
-def _scc_ids(succ: list[set[int]]) -> list[int]:
-    """Tarjan component ids (iterative) for a digraph given as successor sets."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
-
-
-class _MinSearch:
-    """Cardinality-minimal non-empty feasible arc set under superset cuts.
-
-    Arcs that cannot occur in any minimal set (head and tails not in one
-    strongly connected component of the literal dependency digraph) are
-    excluded up front. Branching picks the unsatisfied requirement with the
-    fewest candidate providers (the uncovered tail literals of selected
-    arcs, or the non-emptiness clause) and partitions the solution space:
-    candidate i is selected with candidates 0..i-1 excluded. Lower bound:
-    selected arcs plus the number of distinct uncovered literals, each of
-    which needs its own provider.
-    """
-
-    def __init__(self, inst: _Instance, at_most: list[int],
-                 deadline: Optional[float]):
-        self.inst = inst
-        self.at_most = at_most
-        self.deadline = deadline
-        self.nodes = 0
-        self.best: Optional[int] = None
-        self.best_card = inst.m + 1
-
-    def solve(self) -> Optional[int]:
-        try:
-            self._dfs(0, self.inst.all_mask & ~_admissible_arcs(self.inst))
-        except _Infeasible:
-            pass
-        return self.best
-
-    def _propagate(self, selected: int, excluded: int) -> tuple[int, int]:
-        inst = self.inst
         while True:
-            if selected & excluded:
-                raise _Infeasible
-            changed = False
-            # literals committed by the selection (heads and tail literals);
-            # any arc contradicting one of them can never join this set
-            committed = 0
-            s = selected
-            while s:
-                low = s & -s
-                committed |= inst.arc_commit[low.bit_length() - 1]
-                s ^= low
-            c = committed
-            while c:
-                lowl = c & -c
-                lit = lowl.bit_length() - 1
-                if committed & (1 << (lit ^ 1)):
-                    raise _Infeasible
-                contra = (inst.heads_mask[lit ^ 1] | inst.tailed_by[lit ^ 1]) & ~excluded
-                if contra:
-                    excluded |= contra
-                    changed = True
-                c ^= lowl
-            if selected & excluded:
-                raise _Infeasible
-            s = selected
-            while s:
-                low = s & -s
-                a = low.bit_length() - 1
-                for lit in inst.tails[a]:
-                    prov = inst.heads_mask[lit]
-                    if prov & selected:
-                        continue
-                    cand = prov & ~excluded
-                    if cand == 0:
+            while queue or pending:
+                while queue:
+                    v = queue.pop()
+                    s = status[v]
+                    if s == _FREE:
+                        kill(inst.involving[v])
+                    else:
+                        kill(heads_mask[2 * v + 1 - s] | tailed_by[2 * v + 1 - s])
+                        fixed |= 1 << (2 * v + s)
+                        pending.add(2 * v + s)
+                if not pending:
+                    break
+                lit = pending.pop()
+                v, c = divmod(lit, 2)
+                prov = alive & heads_mask[lit]
+                if prov == 0:
+                    # nothing can induce this literal any more
+                    if status[v] == c:
                         raise _Infeasible
-                    if cand & (cand - 1) == 0:
-                        selected |= cand
-                        changed = True
-                s ^= low
-            for cut in self.at_most:
-                rem = cut & ~selected
-                if rem == 0:
-                    raise _Infeasible
-                if rem & (rem - 1) == 0 and not (rem & excluded):
-                    excluded |= rem
-                    changed = True
-            if not changed:
-                return selected, excluded
-
-    def _uncovered(self, selected: int) -> list[int]:
-        """Distinct tail literals of selected arcs with no selected provider."""
-        inst = self.inst
-        lits: list[int] = []
-        seen = 0
-        s = selected
-        while s:
-            low = s & -s
-            a = low.bit_length() - 1
-            for lit in inst.tails[a]:
-                bit = 1 << lit
-                if seen & bit:
-                    continue
-                seen |= bit
-                if not (inst.heads_mask[lit] & selected):
-                    lits.append(lit)
-            s ^= low
-        return lits
-
-    def _dfs(self, selected: int, excluded: int) -> None:
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 64 == 0:
-            if time.monotonic() > self.deadline:
-                raise SolverTimeoutError("solver wall-clock budget exhausted")
-        try:
-            selected, excluded = self._propagate(selected, excluded)
-        except _Infeasible:
-            return
-        uncovered = self._uncovered(selected)
-        card = bin(selected).count("1")
-        if card + len(uncovered) >= self.best_card:
-            return
-        if uncovered:
-            # fail-first: branch on the literal with the fewest providers
-            best_lit, best_width = -1, self.inst.m + 1
-            for lit in uncovered:
-                width = bin(self.inst.heads_mask[lit] & ~excluded).count("1")
-                if width < best_width:
-                    best_lit, best_width = lit, width
-            requirement = self.inst.heads_mask[best_lit]
-        elif selected == 0:
-            requirement = self.inst.all_mask  # non-emptiness
-        else:
-            self.best, self.best_card = selected, card
-            return
-        cands = requirement & ~excluded & ~selected
-        banned = 0
-        while cands:
-            low = cands & -cands
-            self._dfs(selected | low, excluded | banned)
-            banned |= low
-            cands ^= low
+                    provided &= ~(1 << lit)
+                    kill(tailed_by[lit])
+                    if status[v] == _UNDECIDED and not (alive & heads_mask[lit ^ 1]):
+                        if not self.allow_free:
+                            raise _Infeasible
+                        status[v] = _FREE
+                        queue.append(v)
+                elif status[v] == c:
+                    # every remaining provider shares these tail literals
+                    common = -1
+                    while prov:
+                        low = prov & -prov
+                        common &= inst.tail_litmask[low.bit_length() - 1]
+                        if common == 0:
+                            break
+                        prov ^= low
+                    while common > 0:
+                        low = common & -common
+                        u, d = divmod(low.bit_length() - 1, 2)
+                        if status[u] == _UNDECIDED:
+                            status[u] = d
+                            queue.append(u)
+                        common ^= low
+            if alive == 0:
+                raise _Infeasible  # only the empty literal set is left
+            # no-goods; one with a single literal left to satisfy it forces
+            # that literal (present, or absent)
+            for space in self.nogoods:
+                if self.fixed_first:
+                    # some fixed literal outside the space: one already
+                    # fixed, or an undecided one that still has a provider
+                    rest = provided & ~space
+                    if rest & (rest - 1) == 0:
+                        if not rest:
+                            raise _Infeasible
+                        v, c = divmod(rest.bit_length() - 1, 2)
+                        if status[v] == _UNDECIDED:
+                            status[v] = c
+                            queue.append(v)
+                else:
+                    # some literal of the space absent
+                    rest = space & ~fixed
+                    if rest & (rest - 1) == 0:
+                        if not rest:
+                            raise _Infeasible
+                        kill(heads_mask[rest.bit_length() - 1])
+            if not (queue or pending):
+                return alive, fixed, provided
 
 
 @dataclass
 class EnumerationResult:
     solutions: list[ArcSetSolution]
-    complete: bool
+    stop: str  # "complete" | "limit" | "timeout"
     iterations: int
     nodes: int
     elapsed: float
+
+    @property
+    def complete(self) -> bool:
+        return self.stop == "complete"
 
 
 def enumerate_extremal(
@@ -521,12 +330,16 @@ def enumerate_extremal(
     require_all_vars: bool = False,
 ) -> EnumerationResult:
     """All inclusion-maximal (mode="max") or inclusion-minimal non-empty
-    (mode="min") stable and consistent arc sets, by iterated cardinality
-    optimization with no-good cuts.
+    (mode="min") stable and consistent arc sets, one per trap space they
+    induce: minimal trap spaces in max mode, maximal ones in min mode.
 
-    With require_all_vars, solutions must induce every variable (the steady
-    state system; max mode only). Raises SolverTimeoutError on timeout; a
-    hit limit returns the partial list flagged incomplete.
+    Each iteration finds the next extremal space (the last one proves there
+    is none). Max-mode witnesses hold every arc compatible with the space;
+    min-mode witnesses hold, for each literal of the space, its
+    smallest-id provider whose tail lies in the space. With
+    require_all_vars, solutions must induce every variable (the steady
+    state system; max mode only). A hit limit returns the partial list
+    flagged incomplete; a timeout raises SolverTimeoutError carrying it.
     """
     if mode not in ("min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
@@ -535,84 +348,67 @@ def enumerate_extremal(
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
     inst = _Instance(g)
-    clauses: list[int] = []
-    at_most: list[int] = []
+    search = _Search(inst, fixed_first=mode == "max",
+                     allow_free=not require_all_vars, deadline=deadline)
     solutions: list[ArcSetSolution] = []
-    complete = True
     iterations = 0
-    nodes = 0
-    while True:
-        if mode == "max":
-            search = _MaxSearch(inst, clauses, not require_all_vars, deadline)
-        else:
-            search = _MinSearch(inst, at_most, deadline)
-        mask = search.solve()
-        nodes += search.nodes
-        iterations += 1
-        if mask is None:
-            break
-        ids = inst.mask_to_ids(mask)
-        if not (is_consistent(g, ids) and is_stable(g, ids)):
-            raise TrapSpacesError("search produced an invalid arc set")
-        solutions.append(ArcSetSolution(ids, induced_subspace(g, ids)))
-        if mode == "max":
-            rest = inst.all_mask & ~mask
-            if rest == 0:
-                break  # every arc selected: all other sets are subsets
-            clauses.append(rest)  # require an unselected arc: forbids subsets
-        else:
-            at_most.append(mask)  # forbid supersets
-        if len(solutions) >= limit:
-            complete = False
-            break
-    # emitted sets must be pairwise inclusion-incomparable
-    for i, a in enumerate(solutions):
-        sa = set(a.arc_ids)
-        for b in solutions[i + 1 :]:
-            sb = set(b.arc_ids)
-            if sa <= sb or sb <= sa:
-                raise TrapSpacesError("enumeration produced comparable arc sets")
-    return EnumerationResult(
-        solutions, complete, iterations, nodes, time.monotonic() - start
-    )
+
+    def result(stop: str) -> EnumerationResult:
+        return EnumerationResult(solutions, stop, iterations, search.nodes,
+                                 time.monotonic() - start)
+
+    stop = "complete"
+    try:
+        while True:
+            iterations += 1
+            leaf = search.next_leaf()
+            if leaf is None:
+                break
+            lits, alive = leaf
+            search.nogoods.append(lits)
+            ids = inst.mask_to_ids(alive if mode == "max" else inst.first_providers(lits))
+            if not (is_consistent(g, ids) and is_stable(g, ids)):
+                raise TrapSpacesError("search produced an invalid arc set")
+            solutions.append(ArcSetSolution(ids, induced_subspace(g, ids)))
+            if len(solutions) >= limit:
+                stop = "limit"
+                break
+    except SolverTimeoutError as exc:
+        raise SolverTimeoutError(str(exc), result("timeout")) from None
+    # emitted spaces must be pairwise inclusion-incomparable
+    found = search.nogoods
+    for i, a in enumerate(found):
+        for b in found[i + 1:]:
+            if (a & b) in (a, b):
+                raise TrapSpacesError("enumeration produced comparable spaces")
+    return result(stop)
 
 
-def _dedupe_spaces(
-    solutions: list[ArcSetSolution],
-) -> tuple[list[Subspace], dict[str, ArcSetSolution]]:
-    witnesses: dict[str, ArcSetSolution] = {}
-    for sol in sorted(solutions, key=lambda s: s.arc_ids):
-        witnesses.setdefault(str(sol.induced), sol)
-    return [Subspace.from_str(key) for key in sorted(witnesses)], witnesses
+def spaces_of(result: EnumerationResult) -> list[Subspace]:
+    """The spaces induced by the solutions of ``result``, sorted by pattern."""
+    return sorted((sol.induced for sol in result.solutions), key=str)
 
 
-def _report(
-    net: BooleanNetwork,
-    result: EnumerationResult,
-    keep_minimal: bool,
-    g: PrimeImplicantGraph,
-) -> TrapSpaceReport:
-    spaces, witnesses = _dedupe_spaces(result.solutions)
-    if keep_minimal:
-        spaces = [p for p in spaces if not any(subspace_lt(q, p) for q in spaces)]
-    else:
-        spaces = [p for p in spaces if not any(subspace_lt(p, q) for q in spaces)]
-    if keep_minimal and not spaces:
-        # the whole space is the unique minimal trap space when no proper one exists
-        whole = Subspace.whole(net.n)
-        spaces = [whole]
-        witnesses[str(whole)] = ArcSetSolution((), whole)
-    spaces.sort(key=str)
+def trap_space_report(g: PrimeImplicantGraph, result: EnumerationResult,
+                      mode: str) -> TrapSpaceReport:
+    """The report of a minimal (mode="min", from max-mode arc sets) or
+    maximal (mode="max", from min-mode arc sets) trap-space enumeration.
+    When no proper minimal trap space exists, the whole space is the unique
+    one."""
+    solutions = sorted(result.solutions, key=lambda sol: str(sol.induced))
+    if mode == "min" and not solutions and result.complete:
+        solutions = [ArcSetSolution((), Subspace.whole(g.n))]
     return TrapSpaceReport(
-        mode="min" if keep_minimal else "max",
-        spaces=spaces,
-        witnesses=[witnesses[str(p)] for p in spaces],
+        mode=mode,
+        spaces=[sol.induced for sol in solutions],
+        witnesses=solutions,
         stats={
             "arcs": len(g.arcs),
             "iterations": result.iterations,
             "nodes": result.nodes,
             "elapsed": result.elapsed,
             "complete": result.complete,
+            "stop": result.stop,
         },
     )
 
@@ -623,11 +419,10 @@ def min_trap_spaces(
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     graph: Optional[PrimeImplicantGraph] = None,
 ) -> TrapSpaceReport:
-    """Minimal trap spaces: induced subspaces of the maximal stable and
-    consistent arc sets, post-filtered to inclusion-minimal spaces."""
+    """Minimal trap spaces: the spaces induced by the maximal stable and
+    consistent arc sets."""
     g = graph if graph is not None else build_graph(net)
-    result = enumerate_extremal(g, "max", limit, timeout)
-    return _report(net, result, keep_minimal=True, g=g)
+    return trap_space_report(g, enumerate_extremal(g, "max", limit, timeout), "min")
 
 
 def max_trap_spaces(
@@ -636,12 +431,10 @@ def max_trap_spaces(
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     graph: Optional[PrimeImplicantGraph] = None,
 ) -> TrapSpaceReport:
-    """Maximal trap spaces strictly below the whole space: induced subspaces
-    of the minimal non-empty stable and consistent arc sets, post-filtered to
-    inclusion-maximal spaces."""
+    """Maximal trap spaces strictly below the whole space: the spaces
+    induced by the minimal non-empty stable and consistent arc sets."""
     g = graph if graph is not None else build_graph(net)
-    result = enumerate_extremal(g, "min", limit, timeout)
-    return _report(net, result, keep_minimal=False, g=g)
+    return trap_space_report(g, enumerate_extremal(g, "min", limit, timeout), "max")
 
 
 def steady_states(
@@ -653,6 +446,4 @@ def steady_states(
     """All states x with F(x) = x, as the all-variables-fixed solutions of the
     arc-set constraint system (computed independently of min_trap_spaces)."""
     g = graph if graph is not None else build_graph(net)
-    result = enumerate_extremal(g, "max", limit, timeout, require_all_vars=True)
-    return [Subspace.from_str(key) for key in
-            sorted({str(sol.induced) for sol in result.solutions})]
+    return spaces_of(enumerate_extremal(g, "max", limit, timeout, require_all_vars=True))

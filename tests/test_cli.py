@@ -59,6 +59,7 @@ class TestTrapspaces:
         assert doc["witnesses"] == [[3, 5], [1, 2, 4, 8, 10]]
         assert doc["stats"]["arcs"] == 11
         assert doc["stats"]["complete"] is True
+        assert doc["stats"]["stop"] == "complete"
 
     def test_whole_space_note_on_stderr(self, capsys, cycle_file):
         code, out, err = run(capsys, "trapspaces", cycle_file)
@@ -82,6 +83,22 @@ class TestTrapspaces:
         assert code == 3
         assert "resource limit" in err
 
+    def test_timeout_prints_partial_json(self, capsys, tmp_path):
+        path = tmp_path / "big.bnet"
+        assert run(capsys, "random", "--n", "40", "--seed", "600", "-o", str(path))[0] == 0
+        code, out, err = run(capsys, "--json", "--timeout", "0", "trapspaces", str(path))
+        assert code == 3
+        assert "resource limit" in err and "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["spaces"] == []
+        assert doc["stats"]["stop"] == "timeout"
+        assert doc["stats"]["complete"] is False
+
+    def test_limit_stop_in_json(self, capsys, example_file):
+        code, out, _ = run(capsys, "--json", "--limit", "1", "trapspaces", example_file)
+        assert code == 3
+        assert json.loads(out)["stats"]["stop"] == "limit"
+
 
 class TestSteady:
     def test_plain(self, capsys, example_file):
@@ -101,6 +118,17 @@ class TestSteady:
         code, out, _ = run(capsys, "steady", cycle_file)
         assert code == 0
         assert out == ""
+
+    def test_limit_truncation_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "identity.bnet"
+        path.write_text("targets, factors\na, a\nb, b\nc, c\n", encoding="utf-8")
+        code, out, err = run(capsys, "--limit", "2", "steady", str(path))
+        assert code == 3
+        assert len(out.splitlines()) == 2
+        assert "truncated" in err
+        code, out, _ = run(capsys, "--limit", "8", "steady", str(path))
+        assert code == 0
+        assert len(out.splitlines()) == 8
 
 
 class TestAttractors:
@@ -183,6 +211,13 @@ class TestBound:
         }
 
 
+    def test_limit_truncation_exits_3(self, capsys, example_file):
+        code, out, err = run(capsys, "--limit", "1", "bound", example_file)
+        assert code == 3
+        assert out.startswith("cyclic attractors >= ")
+        assert "truncated" in err
+
+
 class TestCommitment:
     def test_example_csv(self, capsys, example_file):
         code, out, _ = run(capsys, "commitment", example_file)
@@ -200,6 +235,13 @@ class TestCommitment:
         assert out.splitlines() == ["row,00--,1---", "steady,0,1"]
 
 
+    def test_limit_truncation_exits_3(self, capsys, example_file):
+        code, out, err = run(capsys, "--limit", "1", "commitment", example_file)
+        assert code == 3
+        assert len(out.splitlines()[0].split(",")) == 2  # the row label and one space
+        assert "truncated" in err
+
+
 class TestAudit:
     def test_example(self, capsys, example_file):
         code, out, _ = run(capsys, "audit", "--update", "sync", example_file)
@@ -214,6 +256,13 @@ class TestAudit:
         doc = json.loads(out)
         assert doc["update"] == "async"
         assert doc["outside"] == []
+
+
+    def test_limit_truncation_exits_3(self, capsys, example_file):
+        code, out, err = run(capsys, "--limit", "1", "audit", example_file)
+        assert code == 3
+        assert out.splitlines()[-1].startswith("attractors outside")
+        assert "truncated" in err
 
 
 class TestCheck:
