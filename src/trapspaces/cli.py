@@ -303,24 +303,34 @@ def _cmd_check(args) -> int:
     oracle_min = _dynamics.select_trap_spaces(oracle, "min")
     oracle_max = _dynamics.select_trap_spaces(oracle, "max")
     g = build_graph(net, cap=args.support_cap)
-    got_min = _solver.min_trap_spaces(net, args.limit, args.timeout, graph=g).spaces
-    got_max = _solver.max_trap_spaces(net, args.limit, args.timeout, graph=g).spaces
-    got_steady = _solver.steady_states(net, args.limit, args.timeout, graph=g)
+    got_min = _solver.min_trap_spaces(net, args.limit, args.timeout, graph=g)
+    got_max = _solver.max_trap_spaces(net, args.limit, args.timeout, graph=g)
+    # one state more than the limit tells a truncated list from a full one
+    got_steady = _solver.steady_states(net, args.limit + 1, args.timeout, graph=g)
     oracle_steady = [p for p in oracle_min if p.is_state]
     failures = []
-    for label, got, expected in [
-        ("min", got_min, oracle_min),
-        ("max", got_max, oracle_max),
-        ("steady", got_steady, oracle_steady),
+    truncated = False
+    for label, got, complete, expected in [
+        ("min", got_min.spaces, got_min.stats["stop"] == "complete", oracle_min),
+        ("max", got_max.spaces, got_max.stats["stop"] == "complete", oracle_max),
+        ("steady", got_steady[:args.limit], len(got_steady) <= args.limit, oracle_steady),
     ]:
-        if sorted(map(str, got)) != sorted(map(str, expected)):
-            failures.append(
-                f"{label}: solver={sorted(map(str, got))} oracle={sorted(map(str, expected))}"
-            )
+        got_text = sorted(map(str, got))
+        expected_text = sorted(map(str, expected))
+        if complete:
+            ok = got_text == expected_text
+        else:
+            # a list cut short by --limit must still hold only oracle spaces
+            ok = set(got_text) <= set(expected_text)
+            truncated = True
+        if not ok:
+            failures.append(f"{label}: solver={got_text} oracle={expected_text}")
     if failures:
         for line in failures:
             print(f"MISMATCH {line}", file=sys.stderr)
         return EXIT_INPUT
+    if truncated:
+        return _stopped("limit")
     print("OK")
     return EXIT_OK
 

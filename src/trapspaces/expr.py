@@ -261,7 +261,14 @@ def syntactic_support(f: Expression) -> set[int]:
 def _column(k: int, pos: int) -> int:
     """The 2^k-bit table of row bit ``pos``: bit r is set iff bit ``pos`` of r is."""
     width = 1 << pos
-    return ((1 << (1 << k)) - 1) // ((1 << (2 * width)) - 1) * (((1 << width) - 1) << width)
+    column = ((1 << width) - 1) << width
+    # double the repeating pattern until it spans all 2^k rows: the work
+    # stays linear in 2^k even for the widest columns
+    span = 2 * width
+    while span < 1 << k:
+        column |= column << span
+        span *= 2
+    return column
 
 
 def _tabulate(f: Expression, columns: dict[int, int], full: int) -> int:

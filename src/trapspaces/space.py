@@ -77,6 +77,9 @@ class Subspace:
         return Subspace(n, mask, vals)
 
     def __str__(self) -> str:
+        if self.is_state:
+            # every variable fixed: the common case when listing state graphs
+            return format(self.vals, f"0{self.n}b")
         out = []
         for i in range(self.n):
             bit = 1 << (self.n - 1 - i)
@@ -174,9 +177,10 @@ class BooleanNetwork:
 
     Each function's sorted syntactic support is computed once, when the
     network is built, and its truth table once, on first use (``tables``).
-    ``support_cap`` bounds the supports tabulated for the state-space
-    oracle (``eval_function``, ``restricted_constant``) and for any other
-    caller that passes no cap of its own.
+    ``support_cap`` bounds the syntactic supports for every caller that
+    passes no cap of its own: the tables here (``eval_function``,
+    ``restricted_constant``) and the state-space layer in ``dynamics``,
+    whose tables span all variables (``check_supports``).
     """
 
     variables: tuple[str, ...]
@@ -208,16 +212,21 @@ class BooleanNetwork:
         functions = tuple(_expr.parse_expression(text, names) for _, text in pairs)
         return BooleanNetwork(names, functions)
 
-    def tables(self, cap: Optional[int] = None) -> list[tuple[tuple[int, ...], int]]:
-        """Per function: its sorted syntactic support and the truth table over
-        it (``expr.truth_table``), tabulated on the first call and shared by
-        every later one. Each call checks the supports against ``cap``
-        (default ``support_cap``) and raises SupportTooLargeError at the
-        first one above it."""
+    def check_supports(self, cap: Optional[int] = None) -> None:
+        """Raise SupportTooLargeError at the first syntactic support above
+        ``cap`` (default ``support_cap``)."""
         cap = self.support_cap if cap is None else cap
         for support in self.supports:
             if len(support) > cap:
                 raise SupportTooLargeError(len(support), cap)
+
+    def tables(self, cap: Optional[int] = None) -> list[tuple[tuple[int, ...], int]]:
+        """Per function: its sorted syntactic support and the truth table over
+        it (``expr.truth_table``), tabulated on the first call and shared by
+        every later one. Each call checks the supports against ``cap``
+        (``check_supports``)."""
+        cap = self.support_cap if cap is None else cap
+        self.check_supports(cap)
         if self._tables is None:
             object.__setattr__(self, "_tables", [
                 (support, _expr.truth_table(f, support, cap))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapspaces import parse_network
 from trapspaces.analysis import (
@@ -7,14 +9,29 @@ from trapspaces.analysis import (
     cyclic_attractor_lower_bound,
     reduce,
 )
-from trapspaces.dynamics import attractors, build_stg
+from trapspaces.dynamics import attractors, brute_force_trap_spaces, build_stg
 from trapspaces.errors import NotATrapSpaceError
 from trapspaces.expr import Const, Not, Var, format_expression
-from trapspaces.space import Subspace
+from trapspaces.space import BooleanNetwork, Subspace, subspace_leq
 
-from conftest import corpus
+from conftest import corpus, expressions
 
 S = Subspace.from_str
+
+
+def embed_subspace(red, q):
+    """The parent subspace that a subspace ``q`` of the reduced network
+    stands for: the fixed part of ``red.fixing`` plus q's fixed variables,
+    placed through ``index_map``."""
+    n = red.parent.n
+    mask, vals = red.fixing.mask, red.fixing.vals
+    for parent_i, reduced_i in red.index_map.items():
+        if q.is_fixed(reduced_i):
+            bit = 1 << (n - 1 - parent_i)
+            mask |= bit
+            if q.value(reduced_i):
+                vals |= bit
+    return Subspace(n, mask, vals)
 
 
 class TestReduce:
@@ -41,6 +58,19 @@ class TestReduce:
     def test_all_variables_fixed_rejected(self, example_net):
         with pytest.raises(NotATrapSpaceError):
             reduce(example_net, S("1101"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_reduction_commutes_with_the_oracle(self, data, n):
+        functions = data.draw(st.lists(expressions(n), min_size=n, max_size=n))
+        net = BooleanNetwork(tuple(f"x{i}" for i in range(n)), tuple(functions))
+        spaces = brute_force_trap_spaces(net, "all")
+        for p in spaces:
+            if p.is_state:
+                continue  # nothing left to reduce
+            red = reduce(net, p)
+            got = [embed_subspace(red, q) for q in brute_force_trap_spaces(red.network, "all")]
+            assert sorted(got, key=str) == [q for q in spaces if subspace_leq(q, p)]
 
     def test_reduction_preserves_dynamics(self, example_net):
         # inside the trap space, the reduced image matches the parent image

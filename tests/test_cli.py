@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from trapspaces import cli, parse_network
+from trapspaces.space import Subspace
 
 from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, fixture_path
 
@@ -278,6 +280,42 @@ class TestCheck:
                        "-o", str(path))[0] == 0
             code, out, _ = run(capsys, "check", str(path))
             assert code == 0 and out == "OK\n"
+
+    def test_limit_truncation_exits_3(self, capsys, example_file):
+        code, out, err = run(capsys, "--limit", "1", "check", example_file)
+        assert code == 3
+        assert out == ""
+        assert "truncated" in err and "MISMATCH" not in err
+
+    def test_truncated_lists_are_still_checked(self, capsys, example_file, monkeypatch):
+        # a truncated list holding a space the oracle rejects is a mismatch
+        def wrong_max(*args, **kwargs):
+            report = solve_max(*args, **kwargs)
+            return dataclasses.replace(report, spaces=[Subspace.from_str("0---")])
+
+        solve_max = cli._solver.max_trap_spaces
+        monkeypatch.setattr(cli._solver, "max_trap_spaces", wrong_max)
+        code, _, err = run(capsys, "--limit", "1", "check", example_file)
+        assert code == 2
+        assert "MISMATCH max: solver=['0---']" in err
+
+    def test_support_cap_counts_supports_not_variables(self, capsys, tmp_path):
+        # six variables, each function reading at most two of them, pass
+        # cap 4: the oracle's tables span all six variables but the cap
+        # applies to each function's syntactic support
+        names = [f"x{i}" for i in range(6)]
+        lines = ["targets, factors"] + [
+            f"{name}, {names[(i + 1) % 6]} & !{names[(i + 2) % 6]}"
+            for i, name in enumerate(names)
+        ]
+        path = tmp_path / "narrow.bnet"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(capsys, "--support-cap", "4", "check", str(path))[:2] == (0, "OK\n")
+        lines[1] = f"x0, {' | '.join(names[1:])}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "--support-cap", "4", "check", str(path))
+        assert code == 3
+        assert "support of size 5 exceeds cap of 4" in err
 
 
 class TestRandom:

@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from trapspaces import parse_network
+from trapspaces import dynamics, parse_network
 from trapspaces.dynamics import (
     attractors,
     brute_force_trap_spaces,
@@ -11,6 +13,49 @@ from trapspaces.errors import CapExceededError, TrapSpacesError
 from trapspaces.space import Subspace, referenced_states
 
 from conftest import corpus
+
+
+def reference_trap_spaces(net):
+    """Reference for the column walk, state by state: every one of the 3^n
+    subspaces p, kept iff F(x) agrees with p's fixed part at each state x
+    of p, with F(x) from ``image_int``."""
+    n = net.n
+    image = [net.image_int(x) for x in range(1 << n)]
+    full = (1 << n) - 1
+    spaces = []
+    for choices in product(((0, 0), (full, 0), (full, full)), repeat=n):
+        mask = vals = 0
+        for i, (m, v) in enumerate(choices):
+            bit = 1 << (n - 1 - i)
+            mask |= m & bit
+            vals |= v & bit
+        free = full & ~mask
+        sub = 0
+        ok = True
+        while True:
+            x = vals | sub
+            if (image[x] & mask) != vals:
+                ok = False
+                break
+            if sub == free:
+                break
+            sub = (sub - free) & free
+        if ok:
+            spaces.append(Subspace(n, mask, vals))
+    return sorted(spaces, key=str)
+
+
+def reference_successors(net, rule):
+    """``build_stg``'s successor lists, state by state from ``image_int``."""
+    successors = []
+    for x in range(1 << net.n):
+        fx = net.image_int(x)
+        if rule == "sync" or fx == x:
+            successors.append((fx,))
+        else:
+            flips = [x ^ (1 << b) for b in range(net.n) if (fx ^ x) >> b & 1]
+            successors.append(tuple(sorted(flips)))
+    return tuple(successors)
 
 
 class TestBuildStg:
@@ -41,6 +86,21 @@ class TestBuildStg:
         # explicit cap overrides the default
         assert build_stg(example_net, "async", cap=4).n == 4
 
+    def test_successors_equal_the_per_state_reference(self):
+        for net in corpus(200):
+            if net.n <= 8:
+                for rule in ("sync", "async"):
+                    assert build_stg(net, rule).successors == reference_successors(net, rule)
+
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_columns_read_in_blocks(self, example_net, monkeypatch, block):
+        # 16 states in blocks of 1 or 4: each block is read at its offset
+        monkeypatch.setattr(dynamics, "_BLOCK", block)
+        for rule in ("sync", "async"):
+            assert build_stg(example_net, rule).successors == reference_successors(
+                example_net, rule
+            )
+
 
 class TestAttractors:
     def test_example_sync(self, example_net):
@@ -62,6 +122,28 @@ class TestAttractors:
                 stg = build_stg(net, rule)
                 for attr in attractors(stg):
                     assert is_trap_set(stg, set(attr))
+
+    def test_attractors_equal_the_closed_reachable_sets(self):
+        # x lies in an attractor iff every state reachable from x reaches x
+        # back; the attractor is then the set reachable from x
+        for net in corpus(30, sizes=(4, 5, 6), seed0=700):
+            for rule in ("sync", "async"):
+                stg = build_stg(net, rule)
+                reach = []
+                for x in range(1 << net.n):
+                    seen, frontier = {x}, [x]
+                    while frontier:
+                        for y in stg.successors[frontier.pop()]:
+                            if y not in seen:
+                                seen.add(y)
+                                frontier.append(y)
+                    reach.append(seen)
+                closed = {
+                    tuple(sorted(reach[x]))
+                    for x in range(1 << net.n)
+                    if all(x in reach[y] for y in reach[x])
+                }
+                assert attractors(stg) == [list(a) for a in sorted(closed)]
 
     def test_every_state_reaches_an_attractor(self, example_net):
         for rule in ("sync", "async"):
@@ -125,6 +207,10 @@ class TestBruteForce:
     def test_cap(self, example_net):
         with pytest.raises(CapExceededError):
             brute_force_trap_spaces(example_net, "all", cap=3)
+
+    def test_equals_the_per_state_reference(self):
+        for net in corpus(200):
+            assert brute_force_trap_spaces(net, "all") == reference_trap_spaces(net)
 
     def test_trap_spaces_are_trap_sets_in_both_rules(self):
         for net in corpus(12, sizes=(4, 5), seed0=1000):
