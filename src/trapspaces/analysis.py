@@ -10,6 +10,7 @@ from . import dynamics as _dynamics
 from . import expr as _expr
 from . import solver as _solver
 from .errors import CapExceededError, NotATrapSpaceError
+from .primes import build_graph
 from .space import (
     BooleanNetwork,
     Subspace,
@@ -113,10 +114,11 @@ def commitment_table(
     when the network exceeds the dynamics caps; steady states always come
     from the solver.
     """
-    report = _solver.max_trap_spaces(net, limit, timeout)
+    g = build_graph(net)
+    report = _solver.max_trap_spaces(net, limit, timeout, graph=g)
     spaces = report.spaces
     # one state more than the limit tells a truncated list from a full one
-    steady = _solver.steady_states(net, limit + 1, timeout)
+    steady = _solver.steady_states(net, limit + 1, timeout, graph=g)
     complete = report.stats["complete"] and len(steady) <= limit
     steady = steady[:limit]
     steady_counts = [

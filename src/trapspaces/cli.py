@@ -207,12 +207,13 @@ def _cmd_attractors(args) -> int:
     net = _load(args)
     stg = _dynamics.build_stg(net, args.update, args.stg_cap)
     attrs = _dynamics.attractors(stg)
+    state_format = f"0{net.n}b"
     if args.json:
         out = [
             {
                 "size": len(a),
                 "enclosing": str(smallest_enclosing_subspace(a, net.n)),
-                "states": [str(Subspace.from_state(net.n, x)) for x in a[:64]],
+                "states": [format(x, state_format) for x in a[:64]],
             }
             for a in attrs
         ]
@@ -220,11 +221,9 @@ def _cmd_attractors(args) -> int:
         return EXIT_OK
     for a in attrs:
         enclosing = smallest_enclosing_subspace(a, net.n)
+        members = " ".join(format(x, state_format) for x in a[:64])
         if len(a) > 64:
-            members = " ".join(str(Subspace.from_state(net.n, x)) for x in a[:64])
             members += f" ... ({len(a) - 64} more)"
-        else:
-            members = " ".join(str(Subspace.from_state(net.n, x)) for x in a)
         print(f"{len(a)} {enclosing} {members}")
     return EXIT_OK
 
@@ -419,6 +418,8 @@ _COMMANDS = {
 def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
+        if args.limit < 1:
+            raise _UsageError(f"argument --limit: must be at least 1, got {args.limit}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,8 +7,9 @@ Both the oracle and the transition graphs read the network through one
 row r of such a table is state r, so bit x of the column of F_i is F_i(x).
 The oracle walks the 3^n subspaces with ANDs of those columns, and the
 graphs read F(x) off them a block of states at a time. The columns come
-from the ASTs alone (``expr.truth_table``), never from the prime
-implicants or the solver the oracle checks; they take n * 2^n bits.
+from the ASTs alone, each tabulated against the n variable columns built
+once per network, never from the prime implicants or the solver the
+oracle checks; they take n * 2^n bits.
 
 Caps are configuration, not constants; exceeding one raises cleanly so the
 solver path stays usable at any network size. The support cap applies to
@@ -23,7 +24,7 @@ from typing import Iterator, Optional
 
 from . import expr as _expr
 from .errors import CapExceededError, TrapSpacesError
-from .space import BooleanNetwork, Subspace, subspace_lt
+from .space import BooleanNetwork, Subspace
 
 DEFAULT_SYNC_CAP = 24
 DEFAULT_ASYNC_CAP = 20
@@ -53,7 +54,8 @@ def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> Stat
     n = net.n
     if n > cap:
         raise CapExceededError(n, cap, what=f"{rule} transition graph")
-    images = _images(_function_columns(net), n)
+    _, fn_columns = _columns(net)
+    images = _images(fn_columns, n)
     if rule == "sync":
         successors = tuple((fx,) for fx in images)
     else:
@@ -61,14 +63,18 @@ def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> Stat
     return StateTransitionGraph(rule, n, successors)
 
 
-def _function_columns(net: BooleanNetwork) -> list[int]:
-    """The column of each update function: bit x is F_i(x).
+def _columns(net: BooleanNetwork) -> tuple[list[int], list[int]]:
+    """The columns of the n variables (bit x of column j is the value of v_j
+    in state x) and of the n update functions (bit x is F_i(x)); every
+    function is tabulated against the one set of variable columns.
 
     The tables span all n variables, so the support cap is checked on the
     syntactic supports, and n is bounded by the caller's own cap."""
     net.check_supports()
-    every_var = range(net.n)
-    return [_expr.truth_table(f, every_var, net.n) for f in net.functions]
+    n = net.n
+    var_columns = [_expr._column(n, n - 1 - j) for j in range(n)]
+    full = (1 << (1 << n)) - 1
+    return var_columns, [_expr._tabulate(f, var_columns, full) for f in net.functions]
 
 
 def _images(columns: list[int], n: int) -> Iterator[int]:
@@ -188,7 +194,7 @@ def brute_force_trap_spaces(
 
     The walk fixes v1, v2, ... in turn to 1, to 0 or leaves it free, depth
     first, and carries two state sets as 2^n-bit masks over the columns of
-    ``_function_columns``: S, the states of the subspace so far (fixing v_j
+    ``_columns``: S, the states of the subspace so far (fixing v_j
     to c keeps the states where v_j = c), and R, the states whose image
     agrees with every value fixed so far (it keeps those where F_j = c). A
     complete subspace is a trap space iff every state of it is in R, that
@@ -203,9 +209,7 @@ def brute_force_trap_spaces(
     n = net.n
     if n > cap:
         raise CapExceededError(n, cap, what="subspace enumeration")
-    fn_columns = _function_columns(net)
-    every_var = range(n)
-    var_columns = [_expr.truth_table(_expr.Var(j), every_var, n) for j in every_var]
+    var_columns, fn_columns = _columns(net)
     full = (1 << (1 << n)) - 1
     spaces = []
     stack = [(0, 0, 0, full, full)]
@@ -230,11 +234,19 @@ def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:
     mode="all" keeps every one, "min" the inclusion-minimal ones and "max"
     the inclusion-maximal ones strictly below the whole space.
     """
+    # q lies strictly below p iff q fixes every variable p fixes, to the
+    # same values, and some more (mask and vals on the same vocabulary)
     if mode == "min":
-        spaces = [p for p in spaces if not any(subspace_lt(q, p) for q in spaces)]
+        keys = [(p.mask, p.vals) for p in spaces]
+        spaces = [p for p in spaces
+                  if not any(qm != p.mask and qm & p.mask == p.mask and qv & p.mask == p.vals
+                             for qm, qv in keys)]
     elif mode == "max":
         proper = [p for p in spaces if p.mask != 0]
-        spaces = [p for p in proper if not any(subspace_lt(p, q) for q in proper)]
+        keys = [(q.mask, q.vals) for q in proper]
+        spaces = [p for p in proper
+                  if not any(qm != p.mask and p.mask & qm == qm and p.vals & qm == qv
+                             for qm, qv in keys)]
     elif mode != "all":
         raise TrapSpacesError(f"unknown mode {mode!r}")
     return sorted(spaces, key=str)

@@ -5,6 +5,9 @@ which f is the constant c. A constant function f = c contributes a single
 self-referential implicant fixing its own target variable at c, which makes
 input-like variables self-stabilizing. Each implicant becomes one hyperarc:
 tail = the implicant decomposed into literals, head = the induced literal.
+The graph also holds the bitmask view of its arcs (``ArcMasks``) that the
+solver's search reads; it is built on first use and shared by every search
+on the graph.
 """
 
 from __future__ import annotations
@@ -98,6 +101,38 @@ def c_prime_implicants(
     ]
 
 
+class ArcMasks:
+    """Bitmask view of the arcs of a graph: the arc of id k has bit k-1 and
+    the literal (v, c) has bit 2*v + c."""
+
+    def __init__(self, n: int, arcs: tuple[HyperArc, ...]):
+        self.n = n
+        self.m = len(arcs)
+        self.head_lit = []
+        self.tail_litmask = []
+        self.heads_mask = [0] * (2 * n)  # arcs providing each literal
+        self.tailed_by = [0] * (2 * n)  # arcs with each literal in their tail
+        for a, arc in enumerate(arcs):
+            v, c = arc.head
+            self.head_lit.append(2 * v + c)
+            self.heads_mask[2 * v + c] |= 1 << a
+            mask = 0
+            for u, d in arc.tail:
+                mask |= 1 << (2 * u + d)
+                self.tailed_by[2 * u + d] |= 1 << a
+            self.tail_litmask.append(mask)
+        # all arcs mentioning a variable in head or tail
+        self.involving = [
+            self.heads_mask[2 * v] | self.heads_mask[2 * v + 1]
+            | self.tailed_by[2 * v] | self.tailed_by[2 * v + 1]
+            for v in range(n)
+        ]
+
+    def ids(self, mask: int) -> tuple[int, ...]:
+        """The ids of the arcs in ``mask``, ascending."""
+        return tuple(a + 1 for a in range(self.m) if mask & (1 << a))
+
+
 @dataclass(frozen=True)
 class PrimeImplicantGraph:
     """The directed hypergraph with one arc per prime implicant.
@@ -116,6 +151,11 @@ class PrimeImplicantGraph:
         for arc in self.arcs:
             index.setdefault(arc.head, []).append(arc.id)
         return {lit: tuple(ids) for lit, ids in index.items()}
+
+    @cached_property
+    def masks(self) -> ArcMasks:
+        """The bitmask view of the arcs, built on first use."""
+        return ArcMasks(self.n, self.arcs)
 
     def arc(self, arc_id: int) -> HyperArc:
         if not 1 <= arc_id <= len(self.arcs):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InconsistentArcSetError, SolverTimeoutError, TrapSpacesError
-from .primes import PrimeImplicantGraph, build_graph
+from .primes import ArcMasks, PrimeImplicantGraph, build_graph
 from .space import BooleanNetwork, Subspace
 
 DEFAULT_LIMIT = 100_000
@@ -92,54 +92,24 @@ class _Infeasible(Exception):
     pass
 
 
-class _Instance:
-    """Bitmask view of a prime implicant graph: arc of id k has bit k-1 and
-    the literal (v, c) has bit 2*v + c."""
-
-    def __init__(self, g: PrimeImplicantGraph):
-        self.n = g.n
-        self.m = len(g.arcs)
-        self.head_lit = []
-        self.tail_litmask = []
-        self.heads_mask = [0] * (2 * g.n)  # arcs providing each literal
-        self.tailed_by = [0] * (2 * g.n)  # arcs with each literal in their tail
-        for a, arc in enumerate(g.arcs):
-            v, c = arc.head
-            self.head_lit.append(2 * v + c)
-            self.heads_mask[2 * v + c] |= 1 << a
-            mask = 0
-            for u, d in arc.tail:
-                mask |= 1 << (2 * u + d)
-                self.tailed_by[2 * u + d] |= 1 << a
-            self.tail_litmask.append(mask)
-        # all arcs mentioning a variable in head or tail
-        self.involving = [
-            self.heads_mask[2 * v] | self.heads_mask[2 * v + 1]
-            | self.tailed_by[2 * v] | self.tailed_by[2 * v + 1]
-            for v in range(g.n)
-        ]
-
-    def mask_to_ids(self, mask: int) -> tuple[int, ...]:
-        return tuple(a + 1 for a in range(self.m) if mask & (1 << a))
-
-    def first_providers(self, lits: int) -> int:
-        """For each literal of ``lits``, its smallest-id arc whose tail lies
-        in ``lits``."""
-        chosen = 0
-        rest = lits
-        while rest:
-            low = rest & -rest
-            prov = self.heads_mask[low.bit_length() - 1]
-            while prov:
-                a = prov & -prov
-                if not (self.tail_litmask[a.bit_length() - 1] & ~lits):
-                    chosen |= a
-                    break
-                prov ^= a
-            else:
-                raise TrapSpacesError("a literal of the space has no provider in it")
-            rest ^= low
-        return chosen
+def _first_providers(masks: ArcMasks, lits: int) -> int:
+    """For each literal of ``lits``, its smallest-id arc whose tail lies in
+    ``lits``."""
+    chosen = 0
+    rest = lits
+    while rest:
+        low = rest & -rest
+        prov = masks.heads_mask[low.bit_length() - 1]
+        while prov:
+            a = prov & -prov
+            if not (masks.tail_litmask[a.bit_length() - 1] & ~lits):
+                chosen |= a
+                break
+            prov ^= a
+        else:
+            raise TrapSpacesError("a literal of the space has no provider in it")
+        rest ^= low
+    return chosen
 
 
 _UNDECIDED = -1
@@ -162,9 +132,9 @@ class _Search:
     space ``fixed``.
     """
 
-    def __init__(self, inst: _Instance, fixed_first: bool, allow_free: bool,
+    def __init__(self, masks: ArcMasks, fixed_first: bool, allow_free: bool,
                  deadline: Optional[float]):
-        self.inst = inst
+        self.masks = masks
         self.fixed_first = fixed_first
         self.allow_free = allow_free
         self.deadline = deadline
@@ -173,8 +143,8 @@ class _Search:
         # stack entries: (parent status, alive, fixed, provided, variable,
         # value); the root decides nothing and has every literal pending,
         # so unprovidable tails are pruned up front
-        all_lits = (1 << 2 * inst.n) - 1
-        self.stack = [([_UNDECIDED] * inst.n, (1 << inst.m) - 1, 0, all_lits, -1, _UNDECIDED)]
+        all_lits = (1 << 2 * masks.n) - 1
+        self.stack = [([_UNDECIDED] * masks.n, (1 << masks.m) - 1, 0, all_lits, -1, _UNDECIDED)]
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -184,7 +154,7 @@ class _Search:
         """The next leaf as (fixed literals, alive arcs); None once the tree
         is exhausted. Raises SolverTimeoutError past the deadline."""
         self._check_deadline()
-        inst = self.inst
+        masks = self.masks
         stack = self.stack
         while stack:
             parent, alive, fixed, provided, var, value = stack.pop()
@@ -193,7 +163,7 @@ class _Search:
                 self._check_deadline()
             status = list(parent)
             if var < 0:
-                queue, pending = [], set(range(2 * inst.n))
+                queue, pending = [], set(range(2 * masks.n))
             else:
                 status[var] = value
                 queue, pending = [var], set()
@@ -204,15 +174,15 @@ class _Search:
                 continue
             # branch on the undecided variable touching the most alive arcs
             branch_var, best_score = -1, -1
-            for v in range(inst.n):
+            for v in range(masks.n):
                 if status[v] == _UNDECIDED:
-                    score = (alive & inst.involving[v]).bit_count()
+                    score = (alive & masks.involving[v]).bit_count()
                     if score > best_score:
                         branch_var, best_score = v, score
             if branch_var < 0:
                 return fixed, alive
-            ones = (alive & inst.heads_mask[2 * branch_var + 1]).bit_count()
-            zeros = (alive & inst.heads_mask[2 * branch_var]).bit_count()
+            ones = (alive & masks.heads_mask[2 * branch_var + 1]).bit_count()
+            zeros = (alive & masks.heads_mask[2 * branch_var]).bit_count()
             order = [1, 0] if ones >= zeros else [0, 1]
             if self.allow_free:
                 order = order + [_FREE] if self.fixed_first else [_FREE] + order
@@ -223,33 +193,32 @@ class _Search:
     def _propagate(self, status: list[int], alive: int, fixed: int, provided: int,
                    queue: list[int], pending: set[int]) -> tuple[int, int, int]:
         """Event-driven closure: queue holds newly decided variables, pending
-        holds literals whose alive provider set may have shrunk."""
-        inst = self.inst
-        heads_mask = inst.heads_mask
-        tailed_by = inst.tailed_by
-
-        def kill(mask: int) -> None:
-            nonlocal alive
-            dead = alive & mask
-            if not dead:
-                return
-            alive &= ~dead
-            while dead:
-                low = dead & -dead
-                pending.add(inst.head_lit[low.bit_length() - 1])
-                dead ^= low
-
+        holds literals whose alive provider set may have shrunk. Arcs killed
+        (dropped from ``alive``) collect in ``dead`` until their head
+        literals join ``pending``."""
+        masks = self.masks
+        heads_mask = masks.heads_mask
+        tailed_by = masks.tailed_by
+        head_lit = masks.head_lit
+        dead = 0
         while True:
-            while queue or pending:
+            while True:
                 while queue:
                     v = queue.pop()
                     s = status[v]
                     if s == _FREE:
-                        kill(inst.involving[v])
+                        gone = alive & masks.involving[v]
                     else:
-                        kill(heads_mask[2 * v + 1 - s] | tailed_by[2 * v + 1 - s])
+                        gone = alive & (heads_mask[2 * v + 1 - s] | tailed_by[2 * v + 1 - s])
                         fixed |= 1 << (2 * v + s)
                         pending.add(2 * v + s)
+                    alive ^= gone
+                    dead |= gone
+                # one head literal per step: its other dead arcs go with it
+                while dead:
+                    lit = head_lit[(dead & -dead).bit_length() - 1]
+                    pending.add(lit)
+                    dead ^= dead & heads_mask[lit]
                 if not pending:
                     break
                 lit = pending.pop()
@@ -260,7 +229,8 @@ class _Search:
                     if status[v] == c:
                         raise _Infeasible
                     provided &= ~(1 << lit)
-                    kill(tailed_by[lit])
+                    dead = alive & tailed_by[lit]
+                    alive ^= dead
                     if status[v] == _UNDECIDED and not (alive & heads_mask[lit ^ 1]):
                         if not self.allow_free:
                             raise _Infeasible
@@ -271,7 +241,7 @@ class _Search:
                     common = -1
                     while prov:
                         low = prov & -prov
-                        common &= inst.tail_litmask[low.bit_length() - 1]
+                        common &= masks.tail_litmask[low.bit_length() - 1]
                         if common == 0:
                             break
                         prov ^= low
@@ -304,8 +274,10 @@ class _Search:
                     if rest & (rest - 1) == 0:
                         if not rest:
                             raise _Infeasible
-                        kill(heads_mask[rest.bit_length() - 1])
-            if not (queue or pending):
+                        gone = alive & heads_mask[rest.bit_length() - 1]
+                        alive ^= gone
+                        dead |= gone
+            if not (queue or dead):
                 return alive, fixed, provided
 
 
@@ -338,17 +310,20 @@ def enumerate_extremal(
     min-mode witnesses hold, for each literal of the space, its
     smallest-id provider whose tail lies in the space. With
     require_all_vars, solutions must induce every variable (the steady
-    state system; max mode only). A hit limit returns the partial list
-    flagged incomplete; a timeout raises SolverTimeoutError carrying it.
+    state system; max mode only). ``limit`` must be at least 1; a hit limit
+    returns the partial list flagged incomplete, and a timeout raises
+    SolverTimeoutError carrying it.
     """
     if mode not in ("min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
     if require_all_vars and mode != "max":
         raise TrapSpacesError("require_all_vars needs mode='max'")
+    if limit < 1:
+        raise TrapSpacesError(f"limit must be at least 1, got {limit}")
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
-    inst = _Instance(g)
-    search = _Search(inst, fixed_first=mode == "max",
+    masks = g.masks
+    search = _Search(masks, fixed_first=mode == "max",
                      allow_free=not require_all_vars, deadline=deadline)
     solutions: list[ArcSetSolution] = []
     iterations = 0
@@ -366,7 +341,7 @@ def enumerate_extremal(
                 break
             lits, alive = leaf
             search.nogoods.append(lits)
-            ids = inst.mask_to_ids(alive if mode == "max" else inst.first_providers(lits))
+            ids = masks.ids(alive if mode == "max" else _first_providers(masks, lits))
             if not (is_consistent(g, ids) and is_stable(g, ids)):
                 raise TrapSpacesError("search produced an invalid arc set")
             solutions.append(ArcSetSolution(ids, induced_subspace(g, ids)))

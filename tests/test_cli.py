@@ -1,12 +1,13 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from trapspaces import cli, parse_network
+from trapspaces import cli, parse_network, primes, write_network
 from trapspaces.space import Subspace
 
-from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, fixture_path
+from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, corpus, fixture_path
 
 
 def run(capsys, *argv):
@@ -171,6 +172,29 @@ class TestAttractors:
         # the steady states: the 2^16 with x0 = 1, and the all-zero state
         assert len(out.splitlines()) == (1 << 16) + 1
 
+    def test_rendering_is_unchanged(self, capsys, tmp_path):
+        # SHA-256 of the text and --json output, sync and async, on the
+        # example, the third (6-variable) network of corpus() and a
+        # 7-variable network whose async attractor (all 128 states) is cut
+        # at 64 states, recorded when each member state was rendered
+        # through a Subspace
+        texts = [
+            EXAMPLE_TEXT,
+            write_network(list(corpus(3))[2]),
+            "targets, factors\n" + "".join(f"x{i}, !x{i}\n" for i in range(7)),
+        ]
+        digest = hashlib.sha256()
+        for i, text in enumerate(texts):
+            path = tmp_path / f"net{i}.bnet"
+            path.write_text(text, encoding="utf-8")
+            for rule in ("sync", "async"):
+                for flags in ([], ["--json"]):
+                    code, out, _ = run(capsys, *flags, "attractors", "--update", rule,
+                                       str(path))
+                    digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "98e4ca2e657cd8abf5f87bc6c3f4e39f6ac8db3d2ce1d88835eaec64ce5e7c40")
+
 
 class TestReduce:
     def test_reduction_output_is_a_network_file(self, capsys, example_file):
@@ -286,6 +310,28 @@ class TestCheck:
         assert code == 3
         assert out == ""
         assert "truncated" in err and "MISMATCH" not in err
+
+    def test_three_searches_share_one_bitmask_view(self, capsys, example_file,
+                                                   monkeypatch):
+        built = []
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        init = primes.ArcMasks.__init__
+        monkeypatch.setattr(primes.ArcMasks, "__init__", counting_init)
+        searches = []
+
+        def counting_enumerate(*args, **kwargs):
+            searches.append(args[1])
+            return enumerate_extremal(*args, **kwargs)
+
+        enumerate_extremal = cli._solver.enumerate_extremal
+        monkeypatch.setattr(cli._solver, "enumerate_extremal", counting_enumerate)
+        assert run(capsys, "check", example_file)[:2] == (0, "OK\n")
+        assert len(searches) == 3
+        assert len(built) == 1
 
     def test_truncated_lists_are_still_checked(self, capsys, example_file, monkeypatch):
         # a truncated list holding a space the oracle rejects is a mismatch
@@ -444,6 +490,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "--support-cap", "5", "primes", str(path))
         assert code == 3
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("command", ["trapspaces", "steady", "check"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_a_usage_error(self, capsys, example_file, command, limit):
+        code, out, err = run(capsys, "--limit", limit, command, example_file)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "--limit" in err
 
 
 class TestInProcessReuse:

@@ -1,16 +1,19 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trapspaces import dynamics, parse_network
+from trapspaces import dynamics, expr, parse_network
 from trapspaces.dynamics import (
     attractors,
     brute_force_trap_spaces,
     build_stg,
     is_trap_set,
+    select_trap_spaces,
 )
 from trapspaces.errors import CapExceededError, TrapSpacesError
-from trapspaces.space import Subspace, referenced_states
+from trapspaces.space import Subspace, referenced_states, subspace_lt
 
 from conftest import corpus
 
@@ -212,6 +215,19 @@ class TestBruteForce:
         for net in corpus(200):
             assert brute_force_trap_spaces(net, "all") == reference_trap_spaces(net)
 
+    def test_builds_the_variable_columns_once(self, monkeypatch):
+        built = []
+
+        def counting_column(k, pos):
+            built.append((k, pos))
+            return column(k, pos)
+
+        column = expr._column
+        monkeypatch.setattr(expr, "_column", counting_column)
+        net = next(corpus(1, sizes=(7,), seed0=300))
+        brute_force_trap_spaces(net, "all")
+        assert sorted(built) == [(7, pos) for pos in range(7)]
+
     def test_trap_spaces_are_trap_sets_in_both_rules(self):
         for net in corpus(12, sizes=(4, 5), seed0=1000):
             spaces = brute_force_trap_spaces(net, "all")
@@ -219,3 +235,28 @@ class TestBruteForce:
                 stg = build_stg(net, rule)
                 for p in spaces:
                     assert is_trap_set(stg, set(referenced_states(p)))
+
+
+def subspace_lists(max_n=6):
+    def of_size(n):
+        space = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)).map(
+            lambda mv: Subspace(n, mv[0], mv[0] & mv[1]))
+        return st.lists(space, max_size=20)
+
+    return st.integers(1, max_n).flatmap(of_size)
+
+
+class TestSelectTrapSpaces:
+    @settings(max_examples=300, deadline=None)
+    @given(subspace_lists(), st.sampled_from(["min", "max"]))
+    def test_equals_the_order_definition(self, spaces, mode):
+        if mode == "min":
+            want = [p for p in spaces if not any(subspace_lt(q, p) for q in spaces)]
+        else:
+            proper = [p for p in spaces if p.mask != 0]
+            want = [p for p in proper if not any(subspace_lt(p, q) for q in proper)]
+        assert select_trap_spaces(spaces, mode) == sorted(want, key=str)
+
+    def test_all_keeps_every_space(self):
+        spaces = [Subspace.from_str(t) for t in ("1-", "--", "10")]
+        assert [str(p) for p in select_trap_spaces(spaces, "all")] == ["--", "1-", "10"]

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import time
 from itertools import combinations
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspaces import build_graph, parse_network
+from trapspaces import GeneratorConfig, build_graph, generate, parse_network
 from trapspaces.dynamics import brute_force_trap_spaces
 from trapspaces.errors import (
     InconsistentArcSetError,
@@ -130,6 +131,11 @@ class TestEnumerateExtremal:
         result = enumerate_extremal(example_graph, "min", limit=1)
         assert not result.complete
         assert len(result.solutions) == 1
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, example_graph, limit):
+        with pytest.raises(TrapSpacesError):
+            enumerate_extremal(example_graph, "max", limit=limit)
 
     def test_timeout_raises(self):
         net = next(corpus(1, sizes=(40,), seed0=600))
@@ -257,3 +263,25 @@ class TestAgainstBruteForce:
                 p for p in brute_force_trap_spaces(net, "all") if p.is_state
             ]
             assert steady_states(net, graph=g) == want_steady
+
+
+# SHA-256 of (arc ids and induced pattern per solution, iterations, nodes,
+# stop) of enumerate_extremal in min, max and steady mode on corpus(200)
+# and the N-K networks n=50, k=3, seeds 0-15, recorded before the bitmask
+# view moved into the graph and the propagation loop was rewritten: no
+# instance may need more (or fewer) nodes without this changing
+GOLDEN_SEARCH_SHA256 = "aad100830215fc8e6a955944c10bf99e5507105f4edd2776d11d18fe5e9b2721"
+
+
+def test_golden_search_hash():
+    nk = [generate(GeneratorConfig(n=50, k=3.0, seed=s)) for s in range(16)]
+    digest = hashlib.sha256()
+    for net in [*corpus(200), *nk]:
+        g = build_graph(net)
+        for mode, steady in (("max", False), ("min", False), ("max", True)):
+            r = enumerate_extremal(g, mode, require_all_vars=steady)
+            digest.update(repr((
+                [(sol.arc_ids, str(sol.induced)) for sol in r.solutions],
+                r.iterations, r.nodes, r.stop,
+            )).encode())
+    assert digest.hexdigest() == GOLDEN_SEARCH_SHA256
