@@ -9,7 +9,7 @@ from typing import Optional
 from . import dynamics as _dynamics
 from . import expr as _expr
 from . import solver as _solver
-from .errors import CapExceededError, NotATrapSpaceError
+from .errors import NotATrapSpaceError
 from .primes import build_graph
 from .space import (
     BooleanNetwork,
@@ -124,17 +124,11 @@ def commitment_table(
     steady_counts = [
         sum(1 for x in steady if subspace_leq(x, p)) for p in spaces
     ]
-    sync_counts = async_counts = None
-    for rule in ("sync", "async"):
-        try:
-            stg = _dynamics.build_stg(net, rule, stg_cap)
-        except CapExceededError:
-            continue
-        counts = _cyclic_containment_counts(net, stg, spaces)
-        if rule == "sync":
-            sync_counts = counts
-        else:
-            async_counts = counts
+    graphs = _dynamics.transition_graphs(net, stg_cap)
+    sync_counts, async_counts = (
+        _cyclic_containment_counts(net, graphs[rule], spaces) if rule in graphs else None
+        for rule in ("sync", "async")
+    )
     return CommitmentTable(spaces, steady_counts, sync_counts, async_counts, complete)
 
 

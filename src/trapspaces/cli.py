@@ -27,7 +27,7 @@ from .errors import (
     TrapSpacesError,
 )
 from .primes import build_graph
-from .space import BooleanNetwork, Subspace, smallest_enclosing_subspace
+from .space import BooleanNetwork, Subspace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,6 +203,20 @@ def _cmd_steady(args) -> int:
     return _stopped(stop)
 
 
+def _enclosing_pattern(states: list[int], n: int) -> str:
+    """The text of the smallest subspace enclosing ``states``: the bits of
+    the first state, with ``-`` for every variable that varies among them."""
+    first = states[0]
+    varying = 0
+    for x in states:
+        varying |= x ^ first
+    text = format(first, f"0{n}b")
+    if not varying:
+        return text
+    return "".join("-" if free == "1" else bit
+                   for bit, free in zip(text, format(varying, f"0{n}b")))
+
+
 def _cmd_attractors(args) -> int:
     net = _load(args)
     stg = _dynamics.build_stg(net, args.update, args.stg_cap)
@@ -212,7 +226,7 @@ def _cmd_attractors(args) -> int:
         out = [
             {
                 "size": len(a),
-                "enclosing": str(smallest_enclosing_subspace(a, net.n)),
+                "enclosing": _enclosing_pattern(a, net.n),
                 "states": [format(x, state_format) for x in a[:64]],
             }
             for a in attrs
@@ -220,11 +234,10 @@ def _cmd_attractors(args) -> int:
         print(json.dumps({"update": args.update, "attractors": out}))
         return EXIT_OK
     for a in attrs:
-        enclosing = smallest_enclosing_subspace(a, net.n)
         members = " ".join(format(x, state_format) for x in a[:64])
         if len(a) > 64:
             members += f" ... ({len(a) - 64} more)"
-        print(f"{len(a)} {enclosing} {members}")
+        print(f"{len(a)} {_enclosing_pattern(a, net.n)} {members}")
     return EXIT_OK
 
 
@@ -350,7 +363,7 @@ def _bench_one(task) -> list:
     n, k, seed, limit, timeout, support_cap = task
     net = _randgen.generate(_randgen.GeneratorConfig(n=n, k=k, seed=seed))
     g = build_graph(net, cap=support_cap)
-    row = [n, seed, len(g.arcs)]
+    row = [n, seed, g.masks.m]
     for mode in ("min", "max"):
         fn = _solver.min_trap_spaces if mode == "min" else _solver.max_trap_spaces
         start = time.monotonic()

@@ -49,12 +49,29 @@ def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> Stat
     """
     if rule not in ("sync", "async"):
         raise TrapSpacesError(f"unknown update rule {rule!r}")
-    if cap is None:
-        cap = DEFAULT_SYNC_CAP if rule == "sync" else DEFAULT_ASYNC_CAP
-    n = net.n
-    if n > cap:
-        raise CapExceededError(n, cap, what=f"{rule} transition graph")
-    _, fn_columns = _columns(net)
+    cap = _rule_cap(rule, cap)
+    if net.n > cap:
+        raise CapExceededError(net.n, cap, what=f"{rule} transition graph")
+    return _graph(rule, net.n, _columns(net)[1])
+
+
+def transition_graphs(net: BooleanNetwork,
+                      cap: Optional[int] = None) -> dict[str, StateTransitionGraph]:
+    """The sync and async transition graphs whose caps (as in ``build_stg``)
+    admit the network, keyed by rule, both read off one tabulation of its
+    functions; a rule whose cap the network exceeds is left out."""
+    rules = [rule for rule in ("sync", "async") if net.n <= _rule_cap(rule, cap)]
+    fn_columns = _columns(net)[1] if rules else []
+    return {rule: _graph(rule, net.n, fn_columns) for rule in rules}
+
+
+def _rule_cap(rule: str, cap: Optional[int]) -> int:
+    if cap is not None:
+        return cap
+    return DEFAULT_SYNC_CAP if rule == "sync" else DEFAULT_ASYNC_CAP
+
+
+def _graph(rule: str, n: int, fn_columns: list[int]) -> StateTransitionGraph:
     images = _images(fn_columns, n)
     if rule == "sync":
         successors = tuple((fx,) for fx in images)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import TrapSpacesError
-from .primes import PrimeImplicantGraph
+from .primes import PrimeImplicantGraph, literals
 
 
 def _atom_names(variables: tuple[str, ...]) -> list[str]:
@@ -53,10 +53,10 @@ def emit_asp(g: PrimeImplicantGraph, mode: str) -> str:
     ]
     for name, atom in zip(g.network.variables, atoms):
         lines.append(f"%   {atom} = {name}")
-    for arc in g.arcs:
-        hv, hc = arc.head
-        facts = [f"head({atoms[hv]},{hc},a{arc.id})."]
-        facts.extend(f"tail({atoms[v]},{c},a{arc.id})." for v, c in arc.tail)
+    masks = g.masks
+    for a, (h, t) in enumerate(zip(masks.head_lit, masks.tail_litmask), 1):
+        facts = [f"head({atoms[h >> 1]},{h & 1},a{a})."]
+        facts.extend(f"tail({atoms[v]},{c},a{a})." for v, c in literals(t))
         lines.append(" ".join(facts))
     lines.append("{x(ID) : head(v,c,ID)}.")
     lines.append(":- x(ID1), tail(v,c,ID1), not x(ID2): head(v,c,ID2).")
@@ -77,7 +77,8 @@ def emit_ilp(g: PrimeImplicantGraph, mode: str) -> str:
     _check_mode(mode)
     atoms = _atom_names(g.network.variables)
     target = "maximal trap spaces" if mode == "min" else "minimal trap spaces"
-    x_names = [f"x_a{arc.id}" for arc in g.arcs]
+    masks = g.masks
+    x_names = [f"x_a{a}" for a in range(1, masks.m + 1)]
     lines = [
         "\\ stable and consistent arc sets of the prime implicant graph",
         f"\\ objective direction: {mode} (solutions induce the {target})",
@@ -90,7 +91,7 @@ def emit_ilp(g: PrimeImplicantGraph, mode: str) -> str:
     ]
     for v, atom in enumerate(atoms):
         for c in (0, 1):
-            providers = g.by_head.get((v, c), ())
+            providers = masks.ids(masks.heads_mask[2 * v + c])
             y = f"y_{atom}_{c}"
             if providers:
                 # y <= sum of inducing arcs
@@ -100,9 +101,9 @@ def emit_ilp(g: PrimeImplicantGraph, mode: str) -> str:
                     lines.append(f" ilp1_{atom}_{c}_a{a}: x_a{a} - {y} <= 0")
             else:
                 lines.append(f" ilp1_{atom}_{c}: {y} <= 0")
-    for arc in g.arcs:
-        for v, c in arc.tail:
-            lines.append(f" ilp2_a{arc.id}_{atoms[v]}: x_a{arc.id} - y_{atoms[v]}_{c} <= 0")
+    for a, t in enumerate(masks.tail_litmask, 1):
+        for v, c in literals(t):
+            lines.append(f" ilp2_a{a}_{atoms[v]}: x_a{a} - y_{atoms[v]}_{c} <= 0")
     for atom in atoms:
         lines.append(f" ilp3_{atom}: y_{atom}_0 + y_{atom}_1 <= 1")
     if mode == "min":

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InconsistentArcSetError, SolverTimeoutError, TrapSpacesError
-from .primes import ArcMasks, PrimeImplicantGraph, build_graph
+from .primes import ArcMasks, PrimeImplicantGraph, build_graph, literals
 from .space import BooleanNetwork, Subspace
 
 DEFAULT_LIMIT = 100_000
@@ -55,21 +55,28 @@ class TrapSpaceReport:
     stats: dict = field(default_factory=dict)
 
 
-def _head_literals(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> dict[int, int]:
-    heads: dict[int, int] = {}
+def _heads(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> int:
+    """The literal mask of the heads of ``arc_ids``; raises KeyError at an
+    unknown id and InconsistentArcSetError at the first head that assigns
+    a variable the opposite of an earlier one."""
+    masks = g.masks
+    heads = 0
     for a in arc_ids:
-        v, c = g.arc(a).head
-        if heads.setdefault(v, c) != c:
+        if not 1 <= a <= masks.m:
+            raise KeyError(f"unknown arc id {a}")
+        lit = masks.head_lit[a - 1]
+        if heads >> (lit ^ 1) & 1:
             raise InconsistentArcSetError(
-                f"arcs assign both values to variable index {v}"
+                f"arcs assign both values to variable index {lit >> 1}"
             )
+        heads |= 1 << lit
     return heads
 
 
 def is_consistent(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
     """True iff no two heads assign the same variable opposite values."""
     try:
-        _head_literals(g, arc_ids)
+        _heads(g, arc_ids)
     except InconsistentArcSetError:
         return False
     return True
@@ -77,15 +84,19 @@ def is_consistent(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
 
 def is_stable(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
     """True iff every tail literal of every arc is the head of some arc."""
-    ids = set(arc_ids)
-    heads = {g.arc(a).head for a in ids}
-    return all(lit in heads for a in ids for lit in g.arc(a).tail)
+    masks = g.masks
+    heads = tails = 0
+    for a in arc_ids:
+        if not 1 <= a <= masks.m:
+            raise KeyError(f"unknown arc id {a}")
+        heads |= 1 << masks.head_lit[a - 1]
+        tails |= masks.tail_litmask[a - 1]
+    return not tails & ~heads
 
 
 def induced_subspace(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> Subspace:
     """Intersection of all selected head literals; whole space for the empty set."""
-    heads = _head_literals(g, arc_ids)
-    return Subspace.from_items(g.n, heads.items())
+    return Subspace.from_items(g.n, literals(_heads(g, arc_ids)))
 
 
 class _Infeasible(Exception):
@@ -378,7 +389,7 @@ def trap_space_report(g: PrimeImplicantGraph, result: EnumerationResult,
         spaces=[sol.induced for sol in solutions],
         witnesses=solutions,
         stats={
-            "arcs": len(g.arcs),
+            "arcs": g.masks.m,
             "iterations": result.iterations,
             "nodes": result.nodes,
             "elapsed": result.elapsed,

@@ -333,6 +333,24 @@ class TestCheck:
         assert len(searches) == 3
         assert len(built) == 1
 
+    def test_only_primes_builds_the_arc_view(self, capsys, example_file, monkeypatch):
+        built = []
+
+        class CountingArc(primes.HyperArc):
+            def __post_init__(self):
+                built.append(self.id)
+                super().__post_init__()
+
+        monkeypatch.setattr(primes, "HyperArc", CountingArc)
+        for argv in (["check"], ["trapspaces"], ["--json", "trapspaces", "--mode", "max"],
+                     ["steady"], ["encode", "--format", "asp", "--mode", "min"],
+                     ["encode", "--format", "ilp", "--mode", "max"]):
+            assert run(capsys, *argv, example_file)[0] == 0
+        assert run(capsys, "bench", "--sizes", "4", "--reps", "1")[0] == 0
+        assert built == []
+        assert run(capsys, "primes", example_file)[0] == 0
+        assert built == list(range(1, 12))
+
     def test_truncated_lists_are_still_checked(self, capsys, example_file, monkeypatch):
         # a truncated list holding a space the oracle rejects is a mismatch
         def wrong_max(*args, **kwargs):

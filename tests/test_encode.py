@@ -1,10 +1,12 @@
+import hashlib
+
 import pytest
 
-from trapspaces import build_graph, parse_network
+from trapspaces import GeneratorConfig, build_graph, generate, parse_network
 from trapspaces.encode import _atom_names, emit_asp, emit_ilp
 from trapspaces.errors import TrapSpacesError
 
-from conftest import fixture_path
+from conftest import corpus, fixture_path
 
 
 def _fixture(name):
@@ -97,3 +99,20 @@ class TestModeValidation:
             emit_asp(example_graph, "all")
         with pytest.raises(TrapSpacesError):
             emit_ilp(example_graph, "all")
+
+
+# SHA-256 of the ASP and ILP text, min and max mode, on corpus(200) and the
+# eight dense-export networks, recorded when the encoders read the arc list
+# of HyperArc records
+GOLDEN_ENCODING_SHA256 = "6ea0e99d1cefe4e416b3238898f28d1591e33073f08609bc61cec0966e3e2c0a"
+
+
+def test_golden_encoding_hash():
+    dense = [generate(GeneratorConfig(n=10, k=5, seed=s, degree_cap=6)) for s in range(8)]
+    digest = hashlib.sha256()
+    for net in [*corpus(200), *dense]:
+        g = build_graph(net)
+        for emit in (emit_asp, emit_ilp):
+            for mode in ("min", "max"):
+                digest.update(emit(g, mode).encode())
+    assert digest.hexdigest() == GOLDEN_ENCODING_SHA256

@@ -7,8 +7,15 @@ from hypothesis import strategies as st
 
 from trapspaces import GeneratorConfig, generate, parse_network
 from trapspaces.errors import SupportTooLargeError
-from trapspaces.expr import constant_value, evaluate, parse_expression
-from trapspaces.primes import HyperArc, build_graph, c_prime_implicants
+from trapspaces.expr import And, Const, Not, Or, Var, constant_value, evaluate, parse_expression
+from trapspaces.primes import (
+    ArcMasks,
+    HyperArc,
+    PrimeImplicantGraph,
+    _primes,
+    build_graph,
+    c_prime_implicants,
+)
 from trapspaces.space import BooleanNetwork, Subspace, referenced_states, subspace_lt
 
 from conftest import corpus, expressions
@@ -122,6 +129,34 @@ def _oracle_primes(f, c, n):
     }
 
 
+def _table_expression(table, k, first=0):
+    """An expression over v_first..v_(first+k-1) whose truth table is
+    ``table``, with row bit k-1-j for v_(first+j): the Shannon expansion on
+    its first variable, then on the next, and so on."""
+    if table in (0, (1 << (1 << k)) - 1):
+        return Const(table & 1)
+    half = 1 << (k - 1)
+    f0, f1 = table & ((1 << half) - 1), table >> half
+    x = Var(first)
+    return Or((And((Not(x), _table_expression(f0, k - 1, first + 1))),
+               And((x, _table_expression(f1, k - 1, first + 1)))))
+
+
+class TestPrimeCubes:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 6))
+    def test_lexicographic_tail_order_and_oracle(self, data, k):
+        table = data.draw(st.integers(0, (1 << (1 << k)) - 1))
+        cubes = _primes(table, k, {})
+        # row bit k-1-j is v_j, so a cube (mask, vals) is the subspace
+        # (k, mask, vals) and its tail lists v_0, v_1, ... in that order
+        tails = [tuple((j, (vals >> (k - 1 - j)) & 1) for j in range(k)
+                       if (mask >> (k - 1 - j)) & 1) for mask, vals in cubes]
+        assert tails == sorted(set(tails))
+        f = _table_expression(table, k)
+        assert {Subspace(k, mask, vals) for mask, vals in cubes} == _oracle_primes(f, 1, k)
+
+
 class TestHyperArc:
     def test_empty_tail_rejected(self):
         with pytest.raises(ValueError):
@@ -130,6 +165,17 @@ class TestHyperArc:
     def test_duplicate_tail_variable_rejected(self):
         with pytest.raises(ValueError):
             HyperArc(1, ((0, 0), (0, 1)), (1, 1))
+
+
+class TestArcMasks:
+    def test_empty_tail_rejected(self):
+        with pytest.raises(ValueError):
+            ArcMasks(2, [1], [0])
+
+    def test_both_values_of_a_tail_variable_rejected(self):
+        # literal (v, c) is bit 2*v + c: 0b11 holds (0, 0) and (0, 1)
+        with pytest.raises(ValueError):
+            ArcMasks(2, [3], [0b11])
 
 
 class TestGraphOnRunningExample:
@@ -155,6 +201,10 @@ class TestGraphOnRunningExample:
             assert arc.id == arc_id
             assert arc.tail == tail
             assert arc.head == head
+
+    def test_arc_view_rebuilt_from_the_masks(self, example_net, example_graph):
+        g = PrimeImplicantGraph(example_net, example_graph.masks)
+        assert g.arcs == tuple(HyperArc(*row) for row in self.EXPECTED)
 
     def test_by_head_index(self, example_graph):
         assert example_graph.by_head[(0, 1)] == (1, 2)

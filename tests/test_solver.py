@@ -59,6 +59,13 @@ class TestArcSetPredicates:
         with pytest.raises(InconsistentArcSetError):
             induced_subspace(example_graph, [10, 11])
 
+    @pytest.mark.parametrize("check", [is_consistent, is_stable, induced_subspace])
+    def test_unknown_arc_ids(self, example_graph, check):
+        # the example has arcs 1..11
+        for arc_id in (0, 12):
+            with pytest.raises(KeyError):
+                check(example_graph, [1, arc_id])
+
 
 class TestExhaustiveArcSetOracle:
     def test_all_stable_consistent_sets_of_the_example(self, example_graph):
