@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -433,6 +434,13 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
         if args.limit < 1:
             raise _UsageError(f"argument --limit: must be at least 1, got {args.limit}")
+        # NaN compares false to every deadline, so it would remove the budget
+        if math.isnan(args.timeout) or args.timeout < 0:
+            raise _UsageError(f"argument --timeout: must be a non-negative number, "
+                              f"got {args.timeout}")
+        for flag, cap in (("--support-cap", args.support_cap), ("--stg-cap", args.stg_cap)):
+            if cap is not None and cap < 0:
+                raise _UsageError(f"argument {flag}: must be non-negative, got {cap}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

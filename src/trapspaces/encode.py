@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import TrapSpacesError
-from .primes import PrimeImplicantGraph, literals
+from .primes import PrimeImplicantGraph
 
 
 def _atom_names(variables: tuple[str, ...]) -> list[str]:
@@ -53,11 +53,18 @@ def emit_asp(g: PrimeImplicantGraph, mode: str) -> str:
     ]
     for name, atom in zip(g.network.variables, atoms):
         lines.append(f"%   {atom} = {name}")
+    # the facts of the literal (v, c), at index 2*v + c, up to the arc id
+    head_text = [f"head({atom},{c},a" for atom in atoms for c in (0, 1)]
+    tail_text = [f" tail({atom},{c},a" for atom in atoms for c in (0, 1)]
     masks = g.masks
     for a, (h, t) in enumerate(zip(masks.head_lit, masks.tail_litmask), 1):
-        facts = [f"head({atoms[h >> 1]},{h & 1},a{a})."]
-        facts.extend(f"tail({atoms[v]},{c},a{a})." for v, c in literals(t))
-        lines.append(" ".join(facts))
+        end = f"{a})."
+        facts = head_text[h] + end
+        while t:
+            low = t & -t
+            facts += tail_text[low.bit_length() - 1] + end
+            t ^= low
+        lines.append(facts)
     lines.append("{x(ID) : head(v,c,ID)}.")
     lines.append(":- x(ID1), tail(v,c,ID1), not x(ID2): head(v,c,ID2).")
     lines.append(":- x(ID1), x(ID2), head(v,1,ID1), head(v,0,ID2).")
@@ -78,7 +85,8 @@ def emit_ilp(g: PrimeImplicantGraph, mode: str) -> str:
     atoms = _atom_names(g.network.variables)
     target = "maximal trap spaces" if mode == "min" else "minimal trap spaces"
     masks = g.masks
-    x_names = [f"x_a{a}" for a in range(1, masks.m + 1)]
+    ids = [str(a) for a in range(1, masks.m + 1)]
+    x_names = ["x_a" + a for a in ids]
     lines = [
         "\\ stable and consistent arc sets of the prime implicant graph",
         f"\\ objective direction: {mode} (solutions induce the {target})",
@@ -95,15 +103,22 @@ def emit_ilp(g: PrimeImplicantGraph, mode: str) -> str:
             y = f"y_{atom}_{c}"
             if providers:
                 # y <= sum of inducing arcs
-                terms = " - ".join(f"x_a{a}" for a in providers)
+                terms = " - ".join([x_names[a - 1] for a in providers])
                 lines.append(f" ilp1_{atom}_{c}: {y} - {terms} <= 0")
+                row = f" ilp1_{atom}_{c}_a"
                 for a in providers:
-                    lines.append(f" ilp1_{atom}_{c}_a{a}: x_a{a} - {y} <= 0")
+                    lines.append(f"{row}{a}: x_a{a} - {y} <= 0")
             else:
                 lines.append(f" ilp1_{atom}_{c}: {y} <= 0")
-    for a, t in enumerate(masks.tail_litmask, 1):
-        for v, c in literals(t):
-            lines.append(f" ilp2_a{a}_{atoms[v]}: x_a{a} - y_{atoms[v]}_{c} <= 0")
+    # the ilp2 row of the literal (v, c), at index 2*v + c, is cut at the
+    # two places that hold the arc id
+    ilp2_text = [(f"_{atom}: x_a", f" - y_{atom}_{c} <= 0") for atom in atoms for c in (0, 1)]
+    for a, t in zip(ids, masks.tail_litmask):
+        while t:
+            low = t & -t
+            middle, end = ilp2_text[low.bit_length() - 1]
+            lines.append(f" ilp2_a{a}{middle}{a}{end}")
+            t ^= low
     for atom in atoms:
         lines.append(f" ilp3_{atom}: y_{atom}_0 + y_{atom}_1 <= 1")
     if mode == "min":

@@ -4,14 +4,18 @@ restriction and support analysis.
 Concrete syntax: identifiers ``[A-Za-z_][A-Za-z0-9_]*``, negation ``!``,
 conjunction ``&``, disjunction ``|``, constants ``0``/``1`` and parentheses.
 Precedence is ``!`` > ``&`` > ``|``; both binary operators are n-ary in the AST.
-All nodes are immutable and safe to share between workers.
+All nodes are immutable and safe to share between workers. The parser
+builds each literal once per expression: every occurrence of ``v`` is one
+``Var`` node and every ``!v`` one ``Not`` node, which the AST walkers meet
+once per occurrence.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Optional, Sequence
 
 from .errors import ExpressionSyntaxError, SupportTooLargeError, UnknownVariableError
@@ -62,7 +66,8 @@ class Or(Expression):
             raise ValueError("Or requires at least two children")
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[01]|\S")
+# a negated identifier is one token, so it costs one step of the parse
+_TOKEN_RE = re.compile(r"!?[A-Za-z_][A-Za-z0-9_]*|[01]|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_]")
 _TOKEN_START_RE = re.compile(r"[A-Za-z_01!&|()]")  # else an unexpected character
 
@@ -80,7 +85,7 @@ def _error(text: str, tokens: list, j: int, message: Optional[str]) -> Exception
         if not _TOKEN_START_RE.match(tokens[i]):
             return ExpressionSyntaxError(f"unexpected character {tokens[i]!r}", starts[i])
     if message is None:
-        return UnknownVariableError(tokens[j])
+        return UnknownVariableError(tokens[j].lstrip("!"))
     return ExpressionSyntaxError(message, starts[j])
 
 
@@ -95,64 +100,98 @@ def parse_expression(text: str, vocabulary: Sequence[str] | Mapping[str, int]) -
 
     One scan and one operator-precedence pass with an explicit stack: an
     open parenthesis pushes the enclosing (or_terms, and_factors,
-    pending_nots) frame and its closing one pops it. Repeated variables
-    share one ``Var`` node.
+    pending_nots) frame and its closing one pops it. The literals are
+    shared nodes: every occurrence of a variable ``v`` in the text is one
+    ``Var`` node, and every ``!v`` one ``Not`` node over it.
     """
     index_of = (vocabulary if isinstance(vocabulary, Mapping)
                 else {name: i for i, name in enumerate(vocabulary)})
     tokens = _TOKEN_RE.findall(text)
+    # operand token -> its node; "!" + operand token -> the shared negation
     nodes = {"0": Const(0), "1": Const(1)}
     stack: list[tuple[list, list, int]] = []
     terms: list = []
     factors: list = []
     nots = depth = 0
-    operand = True  # an operand comes next
-    for j, token in enumerate(tokens):
-        if operand:
-            if token == "!" or token == "(":
+    # the outer loop takes operands, the inner one the operators after them;
+    # both draw from one iterator, whose remaining length locates an error
+    rest = iter(tokens)
+    for token in rest:
+        if depth == MAX_NESTING and token[0] in "!(":  # one level too deep
+            raise _error(text, tokens, _at(tokens, rest), f"nesting deeper than {MAX_NESTING}")
+        node = nodes.get(token)
+        if node is None:
+            if token == "!":
                 depth += 1
-                if depth > MAX_NESTING:
-                    raise _error(text, tokens, j, f"nesting deeper than {MAX_NESTING}")
-                if token == "!":
-                    nots += 1
-                else:
-                    stack.append((terms, factors, nots))
-                    terms, factors, nots = [], [], 0
+                nots += 1
                 continue
-            node = nodes.get(token)
-            if node is None:
-                if not _IDENT_RE.match(token):
-                    raise _error(text, tokens, j, f"unexpected token {token!r}")
-                if token not in index_of:
-                    raise _error(text, tokens, j, None)
-                node = nodes[token] = Var(index_of[token])
-        elif token == "&":
-            operand = True
-            continue
-        elif token == "|":
-            terms.append(_join(And, factors))
-            factors = []
-            operand = True
-            continue
-        elif token == ")" and stack:
-            terms.append(_join(And, factors))
-            node = _join(Or, terms)
-            terms, factors, nots = stack.pop()
-            depth -= 1
-        else:
-            raise _error(text, tokens, j, f"expected ')', found {token!r}" if stack
-                         else f"unexpected token {token!r}")
-        depth -= nots
-        while nots:
-            node = Not(node)
-            nots -= 1
+            if token == "(":
+                depth += 1
+                stack.append((terms, factors, nots))
+                terms, factors, nots = [], [], 0
+                continue
+            if token[0] == "!":  # a negated identifier
+                node = nodes[token] = Not(_variable(text, tokens, rest, token[1:], nodes, index_of))
+            else:
+                node = _variable(text, tokens, rest, token, nodes, index_of)
+        if nots:
+            depth -= nots
+            if token[0] != "!":  # '! v' shares the node of '!v'
+                negation = nodes.get("!" + token)
+                if negation is None:
+                    negation = nodes["!" + token] = Not(node)
+                node = negation
+                nots -= 1
+            while nots:
+                node = Not(node)
+                nots -= 1
         factors.append(node)
-        operand = False
-    if operand or stack:
-        raise _error(text, tokens, len(tokens), "unexpected token ''" if operand
-                     else "expected ')', found ''")
-    terms.append(_join(And, factors))
-    return _join(Or, terms)
+        for token in rest:
+            if token == "&":
+                break
+            if token == "|":
+                terms.append(_join(And, factors))
+                factors = []
+                break
+            if token == ")" and stack:
+                terms.append(_join(And, factors))
+                node = _join(Or, terms)
+                terms, factors, nots = stack.pop()
+                depth -= 1 + nots
+                while nots:
+                    node = Not(node)
+                    nots -= 1
+                factors.append(node)
+                continue
+            token = token[:1] if token[0] == "!" else token  # the '!' of '!v'
+            raise _error(text, tokens, _at(tokens, rest),
+                         f"expected ')', found {token!r}" if stack
+                         else f"unexpected token {token!r}")
+        else:  # the text ends after an operand
+            if stack:
+                raise _error(text, tokens, len(tokens), "expected ')', found ''")
+            terms.append(_join(And, factors))
+            return _join(Or, terms)
+    raise _error(text, tokens, len(tokens), "unexpected token ''")
+
+
+def _at(tokens: list, rest: Iterator[str]) -> int:
+    """The index in ``tokens`` of the token last drawn from ``rest``."""
+    return len(tokens) - length_hint(rest) - 1
+
+
+def _variable(text: str, tokens: list, rest: Iterator[str], name: str, nodes: dict,
+              index_of: Mapping[str, int]) -> Var:
+    """The one ``Var`` of identifier ``name`` (the token last drawn from
+    ``rest``, or its negation), stored in ``nodes`` on its first occurrence."""
+    node = nodes.get(name)
+    if node is None:
+        if not _IDENT_RE.match(name):
+            raise _error(text, tokens, _at(tokens, rest), f"unexpected token {name!r}")
+        if name not in index_of:
+            raise _error(text, tokens, _at(tokens, rest), None)
+        node = nodes[name] = Var(index_of[name])
+    return node
 
 
 def format_expression(f: Expression, vocabulary: Sequence[str]) -> str:
@@ -247,13 +286,14 @@ def syntactic_support(f: Expression) -> set[int]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Var):
+        kind = type(g)
+        if kind is Var:
             out.add(g.index)
-        elif isinstance(g, Not):
+        elif kind is Not:
             stack.append(g.child)
-        elif isinstance(g, (And, Or)):
+        elif kind is And or kind is Or:
             stack.extend(g.children)
-        elif not isinstance(g, Const):
+        elif kind is not Const:
             raise TypeError(f"not an expression node: {g!r}")
     return out
 
@@ -271,23 +311,36 @@ def _column(k: int, pos: int) -> int:
     return column
 
 
-def _tabulate(f: Expression, columns: dict[int, int], full: int) -> int:
-    if isinstance(f, Var):
-        return columns[f.index]
-    if isinstance(f, Const):
-        return full if f.value else 0
-    if isinstance(f, Not):
-        return _tabulate(f.child, columns, full) ^ full
-    if isinstance(f, And):
+def _tabulate(f: Expression, columns: Sequence[int] | Mapping[int, int], full: int) -> int:
+    """The table of ``f`` from the table (column) of each variable index.
+
+    An ``And`` reads the columns of its literal children directly: it
+    intersects its positive ones and subtracts the union of its negated
+    ones, one complement per node."""
+    kind = type(f)
+    if kind is And:
         table = full
+        negated = 0
         for child in f.children:
-            table &= _tabulate(child, columns, full)
-        return table
-    if isinstance(f, Or):
+            child_kind = type(child)
+            if child_kind is Var:
+                table &= columns[child.index]
+            elif child_kind is Not and type(child.child) is Var:
+                negated |= columns[child.child.index]
+            else:
+                table &= _tabulate(child, columns, full)
+        return table & ~negated
+    if kind is Or:
         table = 0
         for child in f.children:
             table |= _tabulate(child, columns, full)
         return table
+    if kind is Not:
+        return _tabulate(f.child, columns, full) ^ full
+    if kind is Var:
+        return columns[f.index]
+    if kind is Const:
+        return full if f.value else 0
     raise TypeError(f"not an expression node: {f!r}")
 
 

@@ -31,8 +31,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
+        if not math.isfinite(self.k) or self.k < 0:
+            raise ValueError(f"k must be finite and non-negative, got {self.k}")
         if not 1 <= self.degree_cap:
             raise ValueError("degree cap must be at least 1")
 

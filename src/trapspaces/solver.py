@@ -27,6 +27,7 @@ inclusion-minimal non-empty ones the maximal trap spaces.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -321,9 +322,9 @@ def enumerate_extremal(
     min-mode witnesses hold, for each literal of the space, its
     smallest-id provider whose tail lies in the space. With
     require_all_vars, solutions must induce every variable (the steady
-    state system; max mode only). ``limit`` must be at least 1; a hit limit
-    returns the partial list flagged incomplete, and a timeout raises
-    SolverTimeoutError carrying it.
+    state system; max mode only). ``limit`` must be at least 1 and
+    ``timeout`` (seconds) not NaN; a hit limit returns the partial list
+    flagged incomplete, and a timeout raises SolverTimeoutError carrying it.
     """
     if mode not in ("min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
@@ -331,6 +332,8 @@ def enumerate_extremal(
         raise TrapSpacesError("require_all_vars needs mode='max'")
     if limit < 1:
         raise TrapSpacesError(f"limit must be at least 1, got {limit}")
+    if timeout is not None and math.isnan(timeout):
+        raise TrapSpacesError("timeout must be a number of seconds, got nan")
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
     masks = g.masks

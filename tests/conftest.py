@@ -52,6 +52,12 @@ def corpus(count, sizes=(4, 5, 6, 7, 8, 9, 10), k=3.0, seed0=0):
         yield generate(GeneratorConfig(n=n, k=k, seed=seed0 + i))
 
 
+def dense():
+    """The eight networks of the dense-export benchmark workload: n=10, mean
+    in-degree 5, at most 6 inputs per function, seeds 0-7."""
+    return [generate(GeneratorConfig(n=10, k=5, seed=s, degree_cap=6)) for s in range(8)]
+
+
 def expressions(n):
     """Random ASTs: nested Not/And/Or over constants and repeated variables,
     with hidden constants (a & !a, a | !a) and fictitious variables

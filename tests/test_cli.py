@@ -517,6 +517,33 @@ class TestExitCodes:
         assert out == ""
         assert "usage error" in err and "--limit" in err
 
+    @pytest.mark.parametrize("timeout", ["nan", "-1", "-0.5"])
+    def test_timeout_not_a_budget_is_a_usage_error(self, capsys, example_file, timeout):
+        # NaN never compares above a clock reading, so it would lift the budget
+        code, out, err = run(capsys, "--timeout", timeout, "trapspaces", example_file)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "--timeout" in err
+
+    @pytest.mark.parametrize("flag,command", [
+        ("--support-cap", "primes"),
+        ("--stg-cap", "attractors"),
+    ])
+    def test_negative_cap_is_a_usage_error(self, capsys, example_file, flag, command):
+        code, out, err = run(capsys, flag, "-1", command, example_file)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and flag in err
+
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_is_an_input_error(self, capsys, tmp_path, k):
+        path = tmp_path / "net.bnet"
+        code, _, err = run(capsys, "random", "--n", "4", "--k", k, "-o", str(path))
+        assert code == 2 and "input error" in err
+        assert not path.exists()
+        code, _, err = run(capsys, "bench", "--sizes", "4", "--reps", "1", "--k", k)
+        assert code == 2 and "input error" in err
+
 
 class TestInProcessReuse:
     def test_calls_do_not_share_state(self, capsys, example_file):

@@ -2,11 +2,13 @@ import hashlib
 
 import pytest
 
-from trapspaces import GeneratorConfig, build_graph, generate, parse_network
+from trapspaces import build_graph, parse_network, write_network
+from trapspaces.dynamics import brute_force_trap_spaces, select_trap_spaces
 from trapspaces.encode import _atom_names, emit_asp, emit_ilp
 from trapspaces.errors import TrapSpacesError
+from trapspaces.space import Subspace
 
-from conftest import corpus, fixture_path
+from conftest import corpus, dense, fixture_path
 
 
 def _fixture(name):
@@ -107,12 +109,175 @@ class TestModeValidation:
 GOLDEN_ENCODING_SHA256 = "6ea0e99d1cefe4e416b3238898f28d1591e33073f08609bc61cec0966e3e2c0a"
 
 
-def test_golden_encoding_hash():
-    dense = [generate(GeneratorConfig(n=10, k=5, seed=s, degree_cap=6)) for s in range(8)]
+def _encoding_digest(nets):
     digest = hashlib.sha256()
-    for net in [*corpus(200), *dense]:
+    for net in nets:
         g = build_graph(net)
         for emit in (emit_asp, emit_ilp):
             for mode in ("min", "max"):
                 digest.update(emit(g, mode).encode())
-    assert digest.hexdigest() == GOLDEN_ENCODING_SHA256
+    return digest.hexdigest()
+
+
+def test_golden_encoding_hash():
+    nets = [*corpus(200), *dense()]
+    assert _encoding_digest(nets) == GOLDEN_ENCODING_SHA256
+    # the path the benchmark takes: network text, parsed with shared
+    # literal nodes
+    parsed = [parse_network(write_network(net)) for net in nets]
+    assert _encoding_digest(parsed) == GOLDEN_ENCODING_SHA256
+
+
+def _read_lp(text):
+    """The sense, objective, rows and binaries of the LP subset that
+    ``emit_ilp`` writes. Rows are (coefficients, rhs) in "<=" form, so a
+    ">=" row is negated. The reader rejects what lies outside the subset:
+    a coefficient other than +1 or -1, a variable that is not binary, or a
+    missing section."""
+    lines = [line for line in text.splitlines() if not line.startswith("\\")]
+    assert lines[0] in ("Maximize", "Minimize") and lines[2] == "Subject To"
+    assert lines[-3] == "Binary" and lines[-1] == "End"
+    binaries = lines[-2].split()
+    assert len(set(binaries)) == len(binaries)
+
+    def terms(tokens):
+        coefs = {}
+        sign = 1
+        for token in tokens:
+            if token in ("+", "-"):
+                sign = 1 if token == "+" else -1
+            else:
+                assert token in binaries and token not in coefs
+                coefs[token] = sign
+                sign = 1
+        return coefs
+
+    name, _, objective = lines[1].partition(": ")
+    assert name == " obj"
+    rows = []
+    for line in lines[3:-3]:
+        _, _, body = line.partition(": ")
+        *lhs, op, rhs = body.split()
+        assert op in ("<=", ">=")
+        coefs = terms(lhs)
+        if op == ">=":
+            rows.append(({x: -c for x, c in coefs.items()}, -int(rhs)))
+        else:
+            rows.append((coefs, int(rhs)))
+    return lines[0], terms(objective.split()), rows, binaries
+
+
+def _optimum(sense, objective, rows, binaries):
+    """An optimal 0-1 assignment, or None if the rows admit none.
+
+    A depth-first search over the variables, those in the most rows first.
+    It drops a branch once some row's smallest reachable left-hand side
+    exceeds its bound, or once the objective can no longer beat the best
+    assignment found."""
+    count = {x: 0 for x in binaries}
+    for coefs, _ in rows:
+        for x in coefs:
+            count[x] += 1
+    order = sorted(binaries, key=lambda x: -count[x])
+    sign = 1 if sense == "Maximize" else -1
+    gain = [sign * objective.get(x, 0) for x in order]
+    position = {x: i for i, x in enumerate(order)}
+    occurs = [[] for _ in order]  # (row, coefficient) per variable
+    low = []  # per row: its smallest reachable left-hand side
+    for r, (coefs, _) in enumerate(rows):
+        for x, c in coefs.items():
+            occurs[position[x]].append((r, c))
+        low.append(sum(c for c in coefs.values() if c < 0))
+    bound = [rhs for _, rhs in rows]
+    reach = [0] * (len(order) + 1)  # the most the variables from i on can add
+    for i in range(len(order) - 1, -1, -1):
+        reach[i] = reach[i + 1] + max(gain[i], 0)
+    values = [0] * len(order)
+    best = [None, None]  # score, assignment
+
+    def search(i, score):
+        if best[0] is not None and score + reach[i] <= best[0]:
+            return
+        if i == len(order):
+            best[:] = [score, dict(zip(order, values))]
+            return
+        for value in ((1, 0) if gain[i] > 0 else (0, 1)):
+            # setting 1 raises low by c > 0; setting 0 raises it by -c for c < 0
+            moved = [(r, c if value else -c) for r, c in occurs[i] if (c > 0) == (value == 1)]
+            for r, d in moved:
+                low[r] += d
+            if all(low[r] <= bound[r] for r, _ in moved):
+                values[i] = value
+                search(i + 1, score + gain[i] * value)
+            for r, d in moved:
+                low[r] -= d
+
+    search(0, 0)
+    return best[1]
+
+
+def _ilp_spaces(g, mode):
+    """The trap spaces that the protocol in ``emit_ilp``'s header yields:
+    optimise, read the space off the y variables, add the no-good cut and
+    re-solve until infeasible."""
+    sense, objective, rows, binaries = _read_lp(emit_ilp(g, mode))
+    x_vars = [x for x in binaries if x.startswith("x_")]
+    atoms = _atom_names(g.network.variables)
+    spaces = []
+    while (solution := _optimum(sense, objective, rows, binaries)) is not None:
+        chosen = [x for x in x_vars if solution[x]]
+        spaces.append(Subspace.from_items(g.n, [
+            (v, c) for v, atom in enumerate(atoms) for c in (0, 1) if solution[f"y_{atom}_{c}"]
+        ]))
+        if mode == "max":  # sum of x over the arcs outside S >= 1
+            rows.append(({x: -1 for x in x_vars if not solution[x]}, -1))
+        else:  # sum of x over S <= |S| - 1
+            rows.append(({x: 1 for x in chosen}, len(chosen) - 1))
+    return spaces
+
+
+# a corpus(200) network (index 28) on which the min-mode protocol yields a
+# space that is not maximal: the arcs v3=0 -> v2=0 and v2=0, v3=0 -> v3=0
+# form a subset-minimal stable arc set whose space -00- lies inside -0--
+MIN_MODE_COUNTEREXAMPLE = """\
+targets, factors
+v1, 0
+v2, v1 & v2 & v3
+v3, !v1 & !v2 & v3 & v4 | !v1 & v2 & !v3 & !v4 | !v1 & v2 & v3 & !v4 | !v1 & v2 & v3 & v4 \
+| v1 & !v2 & v3 & !v4 | v1 & !v2 & v3 & v4 | v1 & v2 & !v3 & !v4 | v1 & v2 & !v3 & v4 \
+| v1 & v2 & v3 & v4
+v4, v2 & !v3 | v2 & v3
+"""
+
+
+class TestIlpSemantics:
+    """Solve the ILP text the way its header tells a consumer to, with a
+    small exact 0-1 search, and compare the spaces with the 3^n oracle."""
+
+    @pytest.fixture(scope="class")
+    def few_arcs(self):
+        graphs = [build_graph(net) for net in corpus(200)]
+        return [g for g in graphs if g.masks.m <= 24]
+
+    def test_max_mode_gives_the_minimal_trap_spaces(self, few_arcs):
+        assert len(few_arcs) > 20
+        for g in few_arcs:
+            spaces = _ilp_spaces(g, "max")
+            assert len(set(spaces)) == len(spaces)
+            assert set(spaces) == set(brute_force_trap_spaces(g.network, "min"))
+
+    def test_min_mode_gives_every_maximal_trap_space(self, few_arcs):
+        for g in few_arcs:
+            oracle = brute_force_trap_spaces(g.network, "all")
+            spaces = set(_ilp_spaces(g, "min"))
+            assert spaces <= set(oracle)
+            assert set(select_trap_spaces(oracle, "max")) <= spaces
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the min-mode cut forbids supersets of an arc set, not of "
+                       "its space, so a subset-minimal arc set whose space is not "
+                       "maximal is reported too")
+    def test_min_mode_gives_only_maximal_trap_spaces(self):
+        net = parse_network(MIN_MODE_COUNTEREXAMPLE)
+        spaces = set(_ilp_spaces(build_graph(net), "min"))
+        assert spaces == set(brute_force_trap_spaces(net, "max"))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspaces import expr
+from trapspaces import expr, parse_network, write_network
 from trapspaces.errors import (
     ExpressionSyntaxError,
     SupportTooLargeError,
@@ -12,7 +12,7 @@ from trapspaces.errors import (
 )
 from trapspaces.space import Subspace
 
-from conftest import expressions
+from conftest import dense, expressions
 
 N = 5  # variables available to generated expressions
 
@@ -78,6 +78,9 @@ class TestParsing:
         (")", "unexpected token ')'", 0),
         ("v1 | (v2 &) | v3", "unexpected token ')'", 10),
         ("v1 v2", "unexpected token 'v2'", 3),  # trailing token
+        ("v1 !v2", "unexpected token '!'", 3),  # a negated identifier
+        ("(v1 !v2)", "expected ')', found '!'", 4),
+        ("!v1 !", "unexpected token '!'", 4),
         ("01", "unexpected token '1'", 1),
         ("v1 bogus", "unexpected token 'bogus'", 3),
         ("", "unexpected token ''", 0),  # empty text
@@ -89,7 +92,8 @@ class TestParsing:
         assert info.value.position == position
         assert str(info.value) == f"{message} (at position {position})"
 
-    @pytest.mark.parametrize("text", ["bogus", "v1 | bogus", "!(v2 & bogus)"])
+    @pytest.mark.parametrize("text", ["bogus", "v1 | bogus", "!(v2 & bogus)",
+                                      "!bogus", "! bogus", "v1 & !!bogus"])
     def test_unknown_variable_error(self, text):
         with pytest.raises(UnknownVariableError) as info:
             parse(text)
@@ -111,6 +115,46 @@ class TestParsing:
             parse("!" + deepest)
         assert info.value.position == expr.MAX_NESTING
         assert "nesting deeper than" in str(info.value)
+
+    def test_nesting_limit_holds_for_a_repeated_negation(self):
+        # the second '!v1' reuses the first one's node, yet opens a level
+        deepest = "!v1 & " + "(" * expr.MAX_NESTING + "!v1" + ")" * expr.MAX_NESTING
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse(deepest)
+        assert info.value.position == 6 + expr.MAX_NESTING
+        assert "nesting deeper than" in str(info.value)
+
+    def test_literal_nodes_are_shared(self):
+        f = parse("!v1 & v2 | ! v1 & !v2 | v1 & !!v2")
+        first, second, third = f.children
+        assert first.children[0] is second.children[0]  # '! v1' is '!v1'
+        assert first.children[0].child is third.children[0]
+        assert second.children[1] is third.children[1].child
+        assert first.children[1] is second.children[1].child
+
+    def test_dense_networks_share_literal_nodes(self):
+        # the text path of the dense-export benchmark: within one expression
+        # every v is one node and every !v one node over it, and the parsed
+        # network equals the generated one
+        shared = 0
+        for net in dense():
+            parsed = parse_network(write_network(net))
+            assert parsed == net
+            for f in parsed.functions:
+                variables, negations = {}, {}
+                stack = [f]
+                while stack:
+                    g = stack.pop()
+                    if isinstance(g, expr.Var):
+                        assert variables.setdefault(g.index, g) is g
+                    elif isinstance(g, expr.Not):
+                        if isinstance(g.child, expr.Var):
+                            assert negations.setdefault(g.child.index, g) is g
+                            shared += 1
+                        stack.append(g.child)
+                    elif isinstance(g, (expr.And, expr.Or)):
+                        stack.extend(g.children)
+        assert shared > 1000  # the pin reaches the negated literals
 
     def test_nesting_counts_only_open_levels(self):
         f = parse(" & ".join(["!(!v1 | (v2))"] * 3 * expr.MAX_NESTING))
@@ -238,6 +282,19 @@ class TestTruthTable:
         f = expr.Or(tuple(expr.Var(i) for i in range(4)))
         with pytest.raises(SupportTooLargeError):
             expr.truth_table(f, [0, 1, 2, 3], cap=3)
+
+    @pytest.mark.parametrize("f", [
+        "v1",
+        expr.Not("v1"),
+        expr.And((expr.Var(0), "v1")),  # a literal position of an And
+        expr.And((expr.Not(7), expr.Var(0))),
+        expr.Or((expr.Var(0), None)),
+    ], ids=repr)
+    def test_non_node_raises_type_error(self, f):
+        with pytest.raises(TypeError):
+            expr.syntactic_support(f)
+        with pytest.raises(TypeError):
+            expr.truth_table(f, [0])
 
 
 class TestTablesAgainstEvaluation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspaces import GeneratorConfig, generate, parse_network
+from trapspaces import parse_network
 from trapspaces.errors import SupportTooLargeError
 from trapspaces.expr import And, Const, Not, Or, Var, constant_value, evaluate, parse_expression
 from trapspaces.primes import (
@@ -18,7 +18,7 @@ from trapspaces.primes import (
 )
 from trapspaces.space import BooleanNetwork, Subspace, referenced_states, subspace_lt
 
-from conftest import corpus, expressions
+from conftest import corpus, dense, expressions
 
 VOCAB = ("v1", "v2", "v3", "v4")
 
@@ -261,9 +261,8 @@ GOLDEN_ARCS_SHA256 = "65c57b9e9859814478282e3b44e7435ac4c422c351d7fb8ea8105af578
 
 
 def test_golden_arc_hash():
-    dense = [generate(GeneratorConfig(n=10, k=5, seed=s, degree_cap=6)) for s in range(8)]
     digest = hashlib.sha256()
-    for net in [*corpus(200), *dense]:
+    for net in [*corpus(200), *dense()]:
         arcs = build_graph(net).arcs
         digest.update(repr([(a.id, a.tail, a.head) for a in arcs]).encode())
     assert digest.hexdigest() == GOLDEN_ARCS_SHA256

@@ -16,6 +16,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(n=4, degree_cap=0)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_non_finite_mean_degree(self, k):
+        with pytest.raises(ValueError):
+            GeneratorConfig(n=4, k=k)
+
 
 class TestDeterminism:
     def test_same_seed_same_network(self):

@@ -144,6 +144,10 @@ class TestEnumerateExtremal:
         with pytest.raises(TrapSpacesError):
             enumerate_extremal(example_graph, "max", limit=limit)
 
+    def test_nan_timeout_rejected(self, example_graph):
+        with pytest.raises(TrapSpacesError):
+            enumerate_extremal(example_graph, "max", timeout=float("nan"))
+
     def test_timeout_raises(self):
         net = next(corpus(1, sizes=(40,), seed0=600))
         with pytest.raises(SolverTimeoutError):
