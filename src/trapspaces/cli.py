@@ -1,7 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 resource limit
-(support/state caps, solver timeout, truncated enumeration).
+One renderer owns every command's output and exit code: it writes the
+result's text, or its JSON document under --json where it has one, to
+stdout or -o, warns on stderr when the result is incomplete, and maps why
+the command stopped to the exit code: 0 success, 1 usage error, 2 input
+error or a check mismatch, 3 resource limit (support/state caps, solver
+timeout, truncated enumeration).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 from . import analysis as _analysis
 from . import bnet as _bnet
@@ -21,12 +25,8 @@ from . import encode as _encode
 from . import expr as _expr
 from . import randgen as _randgen
 from . import solver as _solver
-from .errors import (
-    CapExceededError,
-    SolverTimeoutError,
-    SupportTooLargeError,
-    TrapSpacesError,
-)
+from .errors import (CapExceededError, SolverTimeoutError, SupportTooLargeError,
+                     TrapSpacesError)
 from .primes import build_graph
 from .space import BooleanNetwork, Subspace
 
@@ -102,7 +102,6 @@ def _parser() -> _Parser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--k", type=float, default=_randgen.DEFAULT_MEAN_DEGREE)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("encode", help="emit the ASP or ILP encoding")
     p.add_argument("--format", choices=["asp", "ilp"], required=True)
@@ -117,91 +116,115 @@ def _load(args) -> BooleanNetwork:
     return _bnet.load_network(args.file, args.support_cap)
 
 
-def _space_json(net: BooleanNetwork, p: Subspace) -> dict:
-    return {net.variables[i]: p.value(i) for i in p.fixed_vars()}
+def _oracle(net: BooleanNetwork, args) -> list[Subspace]:
+    """Every trap space of ``net``, sorted by pattern, under ``--stg-cap``."""
+    cap = args.stg_cap if args.stg_cap is not None else _dynamics.DEFAULT_BRUTE_FORCE_CAP
+    return _dynamics.brute_force_trap_spaces(net, "all", cap)
 
 
-def _report_json(net, report) -> dict:
-    return {
-        "mode": report.mode,
-        "spaces": [_space_json(net, p) for p in report.spaces],
-        "witnesses": [list(w.arc_ids) for w in report.witnesses],
-        "stats": report.stats,
-    }
+@dataclass
+class _Result:
+    """What a command produced. ``text`` is its plain output and ``doc`` its
+    ``--json`` document (None where it has none). ``stop`` says why it
+    stopped: "complete", "limit", "timeout" or "mismatch" (``check``).
+    ``notes`` go to stderr along with the text form."""
+
+    text: str
+    doc: object = None
+    stop: str = "complete"
+    notes: tuple[str, ...] = ()
 
 
-def _stopped(stop: str) -> int:
-    """The exit code for a solve that stopped for ``stop``, after a warning
-    on stderr when the results printed are incomplete."""
-    if stop == "limit":
-        print("warning: enumeration truncated by --limit", file=sys.stderr)
-    elif stop == "timeout":
-        print("resource limit: solver wall-clock budget exhausted; "
-              "the results printed are those found before it", file=sys.stderr)
-    return EXIT_OK if stop == "complete" else EXIT_RESOURCE
+_EXIT = {"complete": EXIT_OK, "limit": EXIT_RESOURCE, "timeout": EXIT_RESOURCE,
+         "mismatch": EXIT_INPUT}
+_WARNINGS = {
+    "limit": "warning: enumeration truncated by --limit",
+    "timeout": "resource limit: solver wall-clock budget exhausted; "
+               "the results printed are those found before it",
+}
 
 
-def _emit_report(net, report, args) -> int:
-    if args.json:
-        print(json.dumps(_report_json(net, report)))
+def _render(result: _Result, args) -> int:
+    """Write ``result`` to stdout, or to ``-o`` where the command has one:
+    its JSON document under ``--json`` where it has one, else its notes
+    (to stderr) and its text. Warn when the results are incomplete, and
+    return the exit code of its stop reason."""
+    if args.json and result.doc is not None:
+        out = json.dumps(result.doc) + "\n"
     else:
-        if report.mode == "min" and report.spaces == [Subspace.whole(net.n)]:
-            print("# no proper trap space exists; the whole space "
-                  "is the unique minimal trap space", file=sys.stderr)
-        for p in report.spaces:
-            print(p)
-    return _stopped(report.stats["stop"])
+        for note in result.notes:
+            print(note, file=sys.stderr)
+        out = result.text
+    path = getattr(args, "output", None)
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(out)
+    else:
+        sys.stdout.write(out)
+    if result.stop in _WARNINGS:
+        print(_WARNINGS[result.stop], file=sys.stderr)
+    return _EXIT[result.stop]
 
 
-def _cmd_primes(args) -> int:
+def _lines(items) -> str:
+    return "".join(f"{item}\n" for item in items)
+
+
+def _cut(items: list, limit: int) -> str:
+    """The stop reason of a list asked for one item more than ``limit``."""
+    return "limit" if len(items) > limit else "complete"
+
+
+def _spaces(net: BooleanNetwork, mode: str, spaces: list[Subspace], stop: str,
+            **more) -> _Result:
+    """One pattern per line; in JSON each space maps its fixed variables to
+    their values, and ``more`` follows the spaces."""
+    notes = ()
+    if mode == "min" and spaces == [Subspace.whole(net.n)]:
+        notes = ("# no proper trap space exists; the whole space "
+                 "is the unique minimal trap space",)
+    doc = {"mode": mode, "spaces": [{net.variables[i]: p.value(i) for i in p.fixed_vars()}
+                                    for p in spaces], **more}
+    return _Result(_lines(spaces), doc, stop, notes)
+
+
+def _cmd_primes(args) -> _Result:
     net = _load(args)
-    g = build_graph(net, cap=args.support_cap)
-    for arc in g.arcs:
-        tail = ",".join(f"{net.variables[v]}={c}" for v, c in arc.tail)
+    names = net.variables
+    rows = []
+    for arc in build_graph(net, cap=args.support_cap).arcs:
+        tail = ",".join(f"{names[v]}={c}" for v, c in arc.tail)
         hv, hc = arc.head
-        print(f"{arc.id} {tail} -> {net.variables[hv]}={hc}")
-    return EXIT_OK
+        rows.append(f"{arc.id} {tail} -> {names[hv]}={hc}")
+    return _Result(_lines(rows))
 
 
-def _cmd_trapspaces(args) -> int:
+def _cmd_trapspaces(args) -> _Result:
     net = _load(args)
     if args.mode == "all":
-        cap = args.stg_cap if args.stg_cap is not None else _dynamics.DEFAULT_BRUTE_FORCE_CAP
-        spaces = _dynamics.brute_force_trap_spaces(net, "all", cap)
-        if args.json:
-            print(json.dumps({"mode": "all",
-                              "spaces": [_space_json(net, p) for p in spaces]}))
-        else:
-            for p in spaces:
-                print(p)
-        return EXIT_OK
+        spaces = _oracle(net, args)
+        return _spaces(net, "all", spaces[:args.limit], _cut(spaces, args.limit))
     g = build_graph(net, cap=args.support_cap)
     fn = _solver.min_trap_spaces if args.mode == "min" else _solver.max_trap_spaces
     try:
         report = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
     except SolverTimeoutError as exc:
         report = _solver.trap_space_report(g, exc.partial, args.mode)
-    return _emit_report(net, report, args)
+    return _spaces(net, report.mode, report.spaces, report.stats["stop"],
+                   witnesses=[list(w.arc_ids) for w in report.witnesses],
+                   stats=report.stats)
 
 
-def _cmd_steady(args) -> int:
+def _cmd_steady(args) -> _Result:
     net = _load(args)
     g = build_graph(net, cap=args.support_cap)
     # one state more than the limit tells a truncated list from a full one
     try:
-        states = _solver.steady_states(net, limit=args.limit + 1, timeout=args.timeout,
-                                       graph=g)
-        stop = "limit" if len(states) > args.limit else "complete"
+        states = _solver.steady_states(net, args.limit + 1, args.timeout, graph=g)
+        stop = _cut(states, args.limit)
     except SolverTimeoutError as exc:
         states, stop = _solver.spaces_of(exc.partial), "timeout"
-    states = states[:args.limit]
-    if args.json:
-        print(json.dumps({"mode": "steady",
-                          "spaces": [_space_json(net, x) for x in states]}))
-    else:
-        for x in states:
-            print(x)
-    return _stopped(stop)
+    return _spaces(net, "steady", states[:args.limit], stop)
 
 
 def _enclosing_pattern(states: list[int], n: int) -> str:
@@ -218,101 +241,78 @@ def _enclosing_pattern(states: list[int], n: int) -> str:
                    for bit, free in zip(text, format(varying, f"0{n}b")))
 
 
-def _cmd_attractors(args) -> int:
+def _cmd_attractors(args) -> _Result:
     net = _load(args)
-    stg = _dynamics.build_stg(net, args.update, args.stg_cap)
-    attrs = _dynamics.attractors(stg)
+    attrs = _dynamics.attractors(_dynamics.build_stg(net, args.update, args.stg_cap))
     state_format = f"0{net.n}b"
-    if args.json:
-        out = [
-            {
-                "size": len(a),
-                "enclosing": _enclosing_pattern(a, net.n),
-                "states": [format(x, state_format) for x in a[:64]],
-            }
-            for a in attrs
-        ]
-        print(json.dumps({"update": args.update, "attractors": out}))
-        return EXIT_OK
+    rows, doc = [], []
     for a in attrs:
-        members = " ".join(format(x, state_format) for x in a[:64])
-        if len(a) > 64:
-            members += f" ... ({len(a) - 64} more)"
-        print(f"{len(a)} {_enclosing_pattern(a, net.n)} {members}")
-    return EXIT_OK
+        enclosing = _enclosing_pattern(a, net.n)
+        states = [format(x, state_format) for x in a[:64]]
+        doc.append({"size": len(a), "enclosing": enclosing, "states": states})
+        more = f" ... ({len(a) - 64} more)" if len(a) > 64 else ""
+        rows.append(f"{len(a)} {enclosing} {' '.join(states)}{more}")
+    return _Result(_lines(rows), {"update": args.update, "attractors": doc})
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> _Result:
     net = _load(args)
     p = Subspace.from_str(args.space)
     if p.n != net.n:
-        raise TrapSpacesError(
-            f"pattern has {p.n} positions but the network has {net.n} variables"
-        )
+        raise TrapSpacesError(f"pattern has {p.n} positions but the network "
+                              f"has {net.n} variables")
     reduced = _analysis.reduce(net, p, unchecked=args.unchecked)
-    sys.stdout.write(_bnet.write_network(reduced.network))
-    return EXIT_OK
+    return _Result(_bnet.write_network(reduced.network))
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> _Result:
     net = _load(args)
-    bound = _analysis.cyclic_attractor_lower_bound(net, limit=args.limit,
-                                                   timeout=args.timeout)
-    if args.json:
-        print(json.dumps({
-            "lower_bound": bound.count,
-            "witnesses": [str(p) for p in bound.witnesses],
-            "oscillating_candidates": bound.oscillating_candidates,
-        }))
-    else:
-        print(f"cyclic attractors >= {bound.count}")
-        for p, names in zip(bound.witnesses, bound.oscillating_candidates):
-            print(f"{p} oscillating among: {' '.join(names)}")
-    return _stopped("complete" if bound.complete else "limit")
+    bound = _analysis.cyclic_attractor_lower_bound(net, args.limit, args.timeout)
+    rows = [f"cyclic attractors >= {bound.count}"] + [
+        f"{p} oscillating among: {' '.join(names)}"
+        for p, names in zip(bound.witnesses, bound.oscillating_candidates)]
+    doc = {
+        "lower_bound": bound.count,
+        "witnesses": [str(p) for p in bound.witnesses],
+        "oscillating_candidates": bound.oscillating_candidates,
+    }
+    return _Result(_lines(rows), doc, "complete" if bound.complete else "limit")
 
 
-def _cmd_commitment(args) -> int:
+def _cmd_commitment(args) -> _Result:
     net = _load(args)
-    table = _analysis.commitment_table(net, stg_cap=args.stg_cap,
-                                       limit=args.limit, timeout=args.timeout)
-    header = ["row"] + [str(p) for p in table.spaces]
-    rows = [["steady"] + [str(c) for c in table.steady_counts]]
-    if table.sync_cyclic_counts is not None:
-        rows.append(["sync-cyclic"] + [str(c) for c in table.sync_cyclic_counts])
-    if table.async_cyclic_counts is not None:
-        rows.append(["async-cyclic"] + [str(c) for c in table.async_cyclic_counts])
-    print(",".join(header))
-    for row in rows:
-        print(",".join(row))
-    return _stopped("complete" if table.complete else "limit")
+    table = _analysis.commitment_table(net, args.stg_cap, args.limit, args.timeout)
+    rows = [["row"] + table.spaces, ["steady"] + table.steady_counts]
+    for label, counts in (("sync-cyclic", table.sync_cyclic_counts),
+                          ("async-cyclic", table.async_cyclic_counts)):
+        if counts is not None:
+            rows.append([label] + counts)
+    return _Result(_lines(",".join(map(str, row)) for row in rows),
+                   stop="complete" if table.complete else "limit")
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> _Result:
     net = _load(args)
     audit = _analysis.attractor_trapspace_audit(net, args.update, stg_cap=args.stg_cap,
                                                 limit=args.limit, timeout=args.timeout)
-    if args.json:
-        print(json.dumps({
-            "update": audit.rule,
-            "spaces": [
-                {"space": str(a.space), "attractors": a.attractor_count,
-                 "tight": a.tight}
-                for a in audit.per_space
-            ],
-            "outside": [len(a) for a in audit.outside],
-        }))
-    else:
-        for a in audit.per_space:
-            tight = " ".join("tight" if t else "loose" for t in a.tight) or "-"
-            print(f"{a.space} attractors={a.attractor_count} {tight}")
-        print(f"attractors outside all minimal trap spaces: {len(audit.outside)}")
-    return _stopped("complete" if audit.complete else "limit")
+    rows = [f"{a.space} attractors={a.attractor_count} "
+            + (" ".join("tight" if t else "loose" for t in a.tight) or "-")
+            for a in audit.per_space]
+    rows.append(f"attractors outside all minimal trap spaces: {len(audit.outside)}")
+    doc = {
+        "update": audit.rule,
+        "spaces": [
+            {"space": str(a.space), "attractors": a.attractor_count, "tight": a.tight}
+            for a in audit.per_space
+        ],
+        "outside": [len(a) for a in audit.outside],
+    }
+    return _Result(_lines(rows), doc, "complete" if audit.complete else "limit")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Result:
     net = _load(args)
-    cap = args.stg_cap if args.stg_cap is not None else _dynamics.DEFAULT_BRUTE_FORCE_CAP
-    oracle = _dynamics.brute_force_trap_spaces(net, "all", cap)
+    oracle = _oracle(net, args)
     oracle_min = _dynamics.select_trap_spaces(oracle, "min")
     oracle_max = _dynamics.select_trap_spaces(oracle, "max")
     g = build_graph(net, cap=args.support_cap)
@@ -322,110 +322,72 @@ def _cmd_check(args) -> int:
     got_steady = _solver.steady_states(net, args.limit + 1, args.timeout, graph=g)
     oracle_steady = [p for p in oracle_min if p.is_state]
     failures = []
-    truncated = False
-    for label, got, complete, expected in [
-        ("min", got_min.spaces, got_min.stats["stop"] == "complete", oracle_min),
-        ("max", got_max.spaces, got_max.stats["stop"] == "complete", oracle_max),
-        ("steady", got_steady[:args.limit], len(got_steady) <= args.limit, oracle_steady),
+    stop = "complete"
+    for label, got, got_stop, expected in [
+        ("min", got_min.spaces, got_min.stats["stop"], oracle_min),
+        ("max", got_max.spaces, got_max.stats["stop"], oracle_max),
+        ("steady", got_steady[:args.limit], _cut(got_steady, args.limit), oracle_steady),
     ]:
         got_text = sorted(map(str, got))
         expected_text = sorted(map(str, expected))
-        if complete:
+        if got_stop == "complete":
             ok = got_text == expected_text
         else:
             # a list cut short by --limit must still hold only oracle spaces
             ok = set(got_text) <= set(expected_text)
-            truncated = True
+            stop = "limit"
         if not ok:
-            failures.append(f"{label}: solver={got_text} oracle={expected_text}")
+            failures.append(f"MISMATCH {label}: solver={got_text} oracle={expected_text}")
     if failures:
-        for line in failures:
-            print(f"MISMATCH {line}", file=sys.stderr)
-        return EXIT_INPUT
-    if truncated:
-        return _stopped("limit")
-    print("OK")
-    return EXIT_OK
+        return _Result("", stop="mismatch", notes=tuple(failures))
+    return _Result("OK\n" if stop == "complete" else "", stop=stop)
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args) -> _Result:
     cfg = _randgen.GeneratorConfig(n=args.n, k=args.k, seed=args.seed,
                                    degree_cap=args.degree_cap)
-    text = _bnet.write_network(_randgen.generate(cfg))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _Result(_bnet.write_network(_randgen.generate(cfg)))
 
 
-def _bench_one(task) -> list:
-    n, k, seed, limit, timeout, support_cap = task
-    net = _randgen.generate(_randgen.GeneratorConfig(n=n, k=k, seed=seed))
-    g = build_graph(net, cap=support_cap)
-    row = [n, seed, g.masks.m]
-    for mode in ("min", "max"):
-        fn = _solver.min_trap_spaces if mode == "min" else _solver.max_trap_spaces
-        start = time.monotonic()
-        report = fn(net, limit=limit, timeout=timeout, graph=g)
-        elapsed_ms = (time.monotonic() - start) * 1000.0
-        fixed = [p.num_fixed for p in report.spaces]
-        mean_fixed = sum(fixed) / len(fixed) if fixed else 0.0
-        row.extend([len(report.spaces), f"{mean_fixed:.2f}", f"{elapsed_ms:.1f}"])
-    return row
-
-
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> _Result:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad --sizes value: {args.sizes!r}") from exc
-    tasks = []
-    counter = 0
-    for n in sizes:
-        for _ in range(args.reps):
-            tasks.append((n, args.k, args.seed + counter, args.limit,
-                          args.timeout, args.support_cap))
-            counter += 1
-    print("# in-degree sampled from Poisson(k) clamped to [1, min(degree-cap, n)]")
-    print("n,seed,primes,n_min,mean_fixed_min,ms_min,n_max,mean_fixed_max,ms_max")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    else:
-        rows = [_bench_one(task) for task in tasks]
-    for row in rows:
-        print(",".join(str(c) for c in row))
-    return EXIT_OK
+    if args.reps < 1:
+        raise _UsageError(f"argument --reps: must be at least 1, got {args.reps}")
+    rows = ["# in-degree sampled from Poisson(k) clamped to [1, min(degree-cap, n)]",
+            "n,seed,primes,n_min,mean_fixed_min,ms_min,n_max,mean_fixed_max,ms_max"]
+    runs = [n for n in sizes for _ in range(args.reps)]
+    for seed, n in enumerate(runs, start=args.seed):
+        net = _randgen.generate(_randgen.GeneratorConfig(n=n, k=args.k, seed=seed))
+        g = build_graph(net, cap=args.support_cap)
+        row = [n, seed, g.masks.m]
+        for fn in (_solver.min_trap_spaces, _solver.max_trap_spaces):
+            start = time.monotonic()
+            try:
+                report = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
+            except SolverTimeoutError:
+                return _Result(_lines(rows), stop="timeout")
+            elapsed_ms = (time.monotonic() - start) * 1000.0
+            fixed = [p.num_fixed for p in report.spaces]
+            mean_fixed = sum(fixed) / len(fixed) if fixed else 0.0
+            row.extend([len(report.spaces), f"{mean_fixed:.2f}", f"{elapsed_ms:.1f}"])
+        rows.append(",".join(map(str, row)))
+    return _Result(_lines(rows))
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> _Result:
     net = _load(args)
-    g = build_graph(net, cap=args.support_cap)
     emit = _encode.emit_asp if args.format == "asp" else _encode.emit_ilp
-    text = emit(g, args.mode)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _Result(emit(build_graph(net, cap=args.support_cap), args.mode))
 
 
 _COMMANDS = {
-    "primes": _cmd_primes,
-    "trapspaces": _cmd_trapspaces,
-    "steady": _cmd_steady,
-    "attractors": _cmd_attractors,
-    "reduce": _cmd_reduce,
-    "bound": _cmd_bound,
-    "commitment": _cmd_commitment,
-    "audit": _cmd_audit,
-    "check": _cmd_check,
-    "random": _cmd_random,
-    "bench": _cmd_bench,
-    "encode": _cmd_encode,
+    "primes": _cmd_primes, "trapspaces": _cmd_trapspaces, "steady": _cmd_steady,
+    "attractors": _cmd_attractors, "reduce": _cmd_reduce, "bound": _cmd_bound,
+    "commitment": _cmd_commitment, "audit": _cmd_audit, "check": _cmd_check,
+    "random": _cmd_random, "bench": _cmd_bench, "encode": _cmd_encode,
 }
 
 
@@ -441,11 +403,7 @@ def run(argv) -> int:
         for flag, cap in (("--support-cap", args.support_cap), ("--stg-cap", args.stg_cap)):
             if cap is not None and cap < 0:
                 raise _UsageError(f"argument {flag}: must be non-negative, got {cap}")
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
+        return _render(_COMMANDS[args.command](args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

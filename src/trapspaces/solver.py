@@ -323,8 +323,10 @@ def enumerate_extremal(
     smallest-id provider whose tail lies in the space. With
     require_all_vars, solutions must induce every variable (the steady
     state system; max mode only). ``limit`` must be at least 1 and
-    ``timeout`` (seconds) not NaN; a hit limit returns the partial list
-    flagged incomplete, and a timeout raises SolverTimeoutError carrying it.
+    ``timeout`` (seconds) not NaN. At ``limit`` solutions it looks for one
+    more leaf: if there is one, it returns the first ``limit`` flagged
+    incomplete (stop "limit"). A timeout raises SolverTimeoutError carrying
+    the partial list.
     """
     if mode not in ("min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
@@ -360,7 +362,10 @@ def enumerate_extremal(
                 raise TrapSpacesError("search produced an invalid arc set")
             solutions.append(ArcSetSolution(ids, induced_subspace(g, ids)))
             if len(solutions) >= limit:
-                stop = "limit"
+                # the list is truncated only if one more leaf exists
+                iterations += 1
+                if search.next_leaf() is not None:
+                    stop = "limit"
                 break
     except SolverTimeoutError as exc:
         raise SolverTimeoutError(str(exc), result("timeout")) from None

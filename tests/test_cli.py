@@ -1,10 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 from trapspaces import cli, parse_network, primes, write_network
+from trapspaces.errors import SolverTimeoutError
 from trapspaces.space import Subspace
 
 from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, corpus, fixture_path
@@ -96,6 +101,20 @@ class TestTrapspaces:
         assert doc["spaces"] == []
         assert doc["stats"]["stop"] == "timeout"
         assert doc["stats"]["complete"] is False
+
+    def test_all_mode_honours_the_limit(self, capsys, example_file):
+        code, out, err = run(capsys, "--limit", "2", "trapspaces", "--mode", "all",
+                             example_file)
+        assert code == 3
+        assert out.splitlines() == ["----", "00--"]
+        assert "truncated" in err
+        code, out, _ = run(capsys, "--json", "--limit", "1", "trapspaces", "--mode", "all",
+                           example_file)
+        assert code == 3
+        assert json.loads(out) == {"mode": "all", "spaces": [{}]}
+        code, out, err = run(capsys, "--limit", "6", "trapspaces", "--mode", "all",
+                             example_file)
+        assert code == 0 and len(out.splitlines()) == 6 and err == ""
 
     def test_limit_stop_in_json(self, capsys, example_file):
         code, out, _ = run(capsys, "--json", "--limit", "1", "trapspaces", example_file)
@@ -412,14 +431,28 @@ class TestBench:
         assert [r[1] for r in rows] == ["0", "1", "2", "3"]
         assert all(int(r[2]) > 0 for r in rows)
 
-    def test_parallel_jobs_match_serial(self, capsys):
-        serial = run(capsys, "bench", "--sizes", "6", "--reps", "2")
-        parallel = run(capsys, "bench", "--sizes", "6", "--reps", "2",
-                       "--jobs", "2")
-        strip = lambda out: [line.rsplit(",", 1)[0].rsplit(",", 4)[0]
-                             for line in out.splitlines()[2:]]
-        # timing columns differ; the structural columns must not
-        assert strip(serial[1]) == strip(parallel[1])
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_is_a_usage_error(self, capsys, reps):
+        code, out, err = run(capsys, "bench", "--sizes", "6", "--reps", reps)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "--reps" in err
+
+    def test_timeout_keeps_the_finished_rows(self, capsys, monkeypatch):
+        # the max-mode solve of the first 8-variable network times out
+        def max_timing_out(net, *args, **kwargs):
+            if net.n == 8:
+                raise SolverTimeoutError("solver wall-clock budget exhausted")
+            return solve_max(net, *args, **kwargs)
+
+        solve_max = cli._solver.max_trap_spaces
+        monkeypatch.setattr(cli._solver, "max_trap_spaces", max_timing_out)
+        code, out, err = run(capsys, "bench", "--sizes", "6,8", "--reps", "2")
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[1].startswith("n,seed,")
+        assert [line.split(",")[:2] for line in lines[2:]] == [["6", "0"], ["6", "1"]]
+        assert "results printed are those found before it" in err
 
     def test_bad_sizes_exits_1(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "6,x")
@@ -517,6 +550,17 @@ class TestExitCodes:
         assert out == ""
         assert "usage error" in err and "--limit" in err
 
+    @pytest.mark.parametrize("command", [
+        ["trapspaces"], ["trapspaces", "--mode", "max"], ["steady"],
+        ["check"], ["bound"], ["audit"], ["commitment"],
+    ], ids=" ".join)
+    def test_limit_equal_to_the_count_is_complete(self, capsys, example_file, command):
+        # two minimal and two maximal trap spaces, one steady state: a limit
+        # of 2 cuts nothing short
+        code, out, err = run(capsys, "--limit", "2", *command, example_file)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *command, example_file)[1]
+
     @pytest.mark.parametrize("timeout", ["nan", "-1", "-0.5"])
     def test_timeout_not_a_budget_is_a_usage_error(self, capsys, example_file, timeout):
         # NaN never compares above a clock reading, so it would lift the budget
@@ -569,3 +613,56 @@ class TestInProcessReuse:
         assert code == 0
         assert len(json.loads(out)["spaces"]) == 2
         assert limited() == first
+
+
+# one argv tail per command form; the golden hash runs each on every network
+_GOLDEN_COMMANDS = [
+    ["primes"],
+    ["trapspaces"],
+    ["trapspaces", "--mode", "max"],
+    ["trapspaces", "--mode", "all"],
+    ["steady"],
+    ["attractors"],
+    ["attractors", "--update", "sync"],
+    ["reduce", "--space", None],
+    ["bound"],
+    ["commitment"],
+    ["audit", "--update", "sync"],
+    ["check"],
+    ["encode", "--format", "ilp", "--mode", "min"],
+]
+
+
+def test_golden_cli_hash(capsys, tmp_path):
+    # SHA-256 over (argv, exit code, stdout, stderr) of 13 command forms x
+    # {plain, --json, --timeout 0} on the example, the negation cycle (whose
+    # only minimal trap space is the whole space) and the first 12 networks
+    # of corpus(200), recorded before the commands shared one renderer;
+    # elapsed times are masked and the file path replaced by a placeholder
+    texts = [EXAMPLE_TEXT, NEGATION_CYCLE_TEXT] + [write_network(net) for net in corpus(12)]
+    digest = hashlib.sha256()
+    for i, text in enumerate(texts):
+        path = tmp_path / f"net{i}.bnet"
+        path.write_text(text, encoding="utf-8")
+        n = len(text.splitlines()) - 1
+        for command in _GOLDEN_COMMANDS:
+            # the pattern fixes the first variable to 0 and frees the rest
+            tail = [word or "0" + "-" * (n - 1) for word in command]
+            for flags in ([], ["--json"], ["--timeout", "0"]):
+                argv = [*flags, *tail, str(path)]
+                code, out, err = run(capsys, *argv)
+                out = re.sub(r'"elapsed": [^,}]+', '"elapsed": 0', out)
+                record = [argv[:-1], code, out, err.replace(str(path), "<file>")]
+                digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == (
+        "626020e86907246b8ddb54e59649d23af3a32b22cf39a155559e1030bcfdd6fd")
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, trapspaces.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out == "[]\n"

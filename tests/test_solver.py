@@ -165,6 +165,15 @@ class TestEnumerateExtremal:
         assert enumerate_extremal(example_graph, "max").stop == "complete"
         assert enumerate_extremal(example_graph, "max", limit=1).stop == "limit"
 
+    def test_limit_equal_to_the_count_is_complete(self, example_graph):
+        # the example has exactly two minimal trap spaces: the limit is
+        # reached, but the extra leaf search finds nothing more
+        result = enumerate_extremal(example_graph, "max", limit=2)
+        assert result.stop == "complete"
+        assert len(result.solutions) == 2
+        assert result.iterations == 3
+        assert result.iterations == enumerate_extremal(example_graph, "max").iterations
+
     def test_no_recursion_on_a_long_ring(self):
         # v_i = v_{i+1} | v_{i+2}: one decision per variable on the way to
         # the all-ones state, far deeper than the recursion limit set here
