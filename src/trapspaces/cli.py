@@ -359,6 +359,7 @@ def _cmd_bench(args) -> _Result:
     rows = ["# in-degree sampled from Poisson(k) clamped to [1, min(degree-cap, n)]",
             "n,seed,primes,n_min,mean_fixed_min,ms_min,n_max,mean_fixed_max,ms_max"]
     runs = [n for n in sizes for _ in range(args.reps)]
+    stop = "complete"
     for seed, n in enumerate(runs, start=args.seed):
         net = _randgen.generate(_randgen.GeneratorConfig(n=n, k=args.k, seed=seed))
         g = build_graph(net, cap=args.support_cap)
@@ -370,11 +371,13 @@ def _cmd_bench(args) -> _Result:
             except SolverTimeoutError:
                 return _Result(_lines(rows), stop="timeout")
             elapsed_ms = (time.monotonic() - start) * 1000.0
+            if report.stats["stop"] == "limit":
+                stop = "limit"
             fixed = [p.num_fixed for p in report.spaces]
             mean_fixed = sum(fixed) / len(fixed) if fixed else 0.0
             row.extend([len(report.spaces), f"{mean_fixed:.2f}", f"{elapsed_ms:.1f}"])
         rows.append(",".join(map(str, row)))
-    return _Result(_lines(rows))
+    return _Result(_lines(rows), stop=stop)
 
 
 def _cmd_encode(args) -> _Result:

@@ -5,8 +5,11 @@ State integers follow the package convention (v1 = most significant bit).
 Both the oracle and the transition graphs read the network through one
 2^n-bit column per update function, its truth table over all n variables:
 row r of such a table is state r, so bit x of the column of F_i is F_i(x).
-The oracle walks the 3^n subspaces with ANDs of those columns, and the
-graphs read F(x) off them a block of states at a time. The columns come
+The oracle decides the 3^n subspaces with ANDs of those columns: a
+depth-first walk over the leading variables, and at each of its leaves a
+bit-parallel kernel that decides every completion over the last (at most
+ten) variables at once, one bit per subspace. The graphs read F(x) off
+the columns a block of states at a time. The columns come
 from the ASTs alone, each tabulated against the n variable columns built
 once per network, never from the prime implicants or the solver the
 oracle checks; they take n * 2^n bits.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import expr as _expr
 from .errors import CapExceededError, TrapSpacesError
@@ -32,6 +35,9 @@ DEFAULT_BRUTE_FORCE_CAP = 12
 
 # states per block when reading the state graph off the columns
 _BLOCK = 1 << 16
+
+# the oracle decides the subspaces of the last this-many variables at once
+_KERNEL_VARS = 10
 
 
 @dataclass(frozen=True)
@@ -209,17 +215,21 @@ def brute_force_trap_spaces(
 ) -> list[Subspace]:
     """Oracle: test all 3^n subspaces against the definition p >= F[p].
 
-    The walk fixes v1, v2, ... in turn to 1, to 0 or leaves it free, depth
+    The leading n - L variables, L = min(n, ``_KERNEL_VARS``), are decided
+    by a walk that leaves each free, fixes it to 0 or fixes it to 1, depth
     first, and carries two state sets as 2^n-bit masks over the columns of
-    ``_columns``: S, the states of the subspace so far (fixing v_j
-    to c keeps the states where v_j = c), and R, the states whose image
-    agrees with every value fixed so far (it keeps those where F_j = c). A
-    complete subspace is a trap space iff every state of it is in R, that
-    is S & ~R == 0. A node whose S and R are disjoint is pruned: both only
-    shrink below it and S never becomes empty, so no subspace under it can
-    lie inside R.
+    ``_columns``: S, the states of the subspace so far (fixing v_j to c
+    keeps the states where v_j = c), and R, the states whose image agrees
+    with every value fixed so far (it keeps those where F_j = c). A node
+    whose S and R are disjoint is pruned: both only shrink below it and S
+    never becomes empty, so no subspace under it can lie inside R. At each
+    node where the leading variables are decided, ``_Kernel.emit`` tests
+    all 3^L completions over the last L variables at once, on R and the
+    trailing variables' agreement columns folded over the node's states.
+    For n <= L the walk has depth 0 and only that kernel runs.
 
-    ``mode`` selects among them as in ``select_trap_spaces``.
+    Mode "all" returns the spaces in pattern order, the order of their
+    text; ``mode`` selects among them as in ``select_trap_spaces``.
     """
     if mode not in ("all", "min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
@@ -228,21 +238,97 @@ def brute_force_trap_spaces(
         raise CapExceededError(n, cap, what="subspace enumeration")
     var_columns, fn_columns = _columns(net)
     full = (1 << (1 << n)) - 1
-    spaces = []
+    width = min(n, _KERNEL_VARS)
+    lead = n - width
+    kernel = _Kernel(width)
+    # bit x of agree[k] is set iff F_i(x) equals the value of v_i in x, for
+    # the k-th trailing variable v_i
+    agree = [full ^ x ^ f for x, f in zip(var_columns[lead:], fn_columns[lead:])]
+    spaces: list[Subspace] = []
     stack = [(0, 0, 0, full, full)]
     while stack:
         j, mask, vals, s, r = stack.pop()
-        if j == n:
-            if not s & ~r:
-                spaces.append(Subspace(n, mask, vals))
+        if j == lead:
+            outside = full ^ s
+            kernel.emit(n, mask, vals, _fold(r, outside, n, lead),
+                        (_fold(t, outside, n, lead) for t in agree), spaces)
             continue
         bit = 1 << (n - 1 - j)
         x, f = var_columns[j], fn_columns[j]
-        stack.append((j + 1, mask, vals, s, r))
+        # pushed 1, 0, free: popped free, 0, 1, the pattern order of - 0 1
         for s_c, r_c, v_c in ((s & x, r & f, vals | bit), (s & ~x, r & ~f, vals)):
             if s_c & r_c:
                 stack.append((j + 1, mask | bit, v_c, s_c, r_c))
-    return select_trap_spaces(spaces, mode)
+        stack.append((j + 1, mask, vals, s, r))
+    return spaces if mode == "all" else select_trap_spaces(spaces, mode)
+
+
+def _fold(table: int, outside: int, n: int, lead: int) -> int:
+    """The 2^L-bit table, L = n - lead, that holds at trailing state y iff
+    ``table`` holds at every state of the node's leading part that ends in
+    y: the states ``outside`` the node are set, then the two halves are
+    ANDed once per leading variable, most significant first."""
+    table |= outside
+    for j in range(lead):
+        table &= table >> (1 << (n - 1 - j))
+    return table
+
+
+class _Kernel:
+    """All 3^L subspaces of the last L variables at once, one bit each.
+
+    Subspace q has index sum_k d_k * 3^(L-1-k) over its variables k, with
+    digit d_k = 0 for free, 1 for fixed 0 and 2 for fixed 1, so index order
+    is pattern order. The L masks are built once per oracle call.
+    """
+
+    def __init__(self, width: int):
+        # step k, for the k-th trailing variable, splits each block of 2h
+        # bits, at the start of a frame of 3w bits, into its halves for 0
+        # and 1; ``starts`` has one bit per frame and ``low`` selects the
+        # low half of every block
+        self.steps = []
+        starts = 1
+        for k in range(width):
+            w, h = 3 ** (width - 1 - k), 1 << (width - 1 - k)
+            self.steps.append((starts * ((1 << h) - 1), h, w))
+            starts |= starts << w | starts << 2 * w
+
+    def expand(self, table: int, free_holds: int = -1) -> int:
+        """The 3^L-bit table that holds at q iff the 2^L-bit ``table`` of
+        trailing states holds at every state of q. Step k puts the halves'
+        AND at digit 0 (free), the half for 0 at digit 1 and the half for 1
+        at digit 2; at step ``free_holds`` digit 0 holds outright."""
+        for k, (low, h, w) in enumerate(self.steps):
+            zero, one = table & low, table >> h & low
+            table = (low if k == free_holds else zero & one) | zero << w | one << 2 * w
+        return table
+
+    def emit(self, n: int, mask: int, vals: int, held: int, agrees: Iterable[int],
+             out: list[Subspace]) -> None:
+        """Append to ``out``, in index order, the trap spaces that complete
+        the leading part ``mask``/``vals``: the subspaces q on which the
+        folded R, ``held``, holds throughout and where, for each trailing
+        variable fixed in q, its folded agreement table in ``agrees``
+        holds throughout."""
+        traps = self.expand(held)
+        for k, agree in enumerate(agrees):
+            if not traps:
+                return
+            traps &= self.expand(agree, k)
+        bits = format(traps, "b")[::-1]
+        q = bits.find("1")
+        while q >= 0:
+            m, v, d, bit = mask, vals, q, 1
+            while d:
+                d, digit = divmod(d, 3)
+                if digit:
+                    m |= bit
+                    if digit == 2:
+                        v |= bit
+                bit <<= 1
+            out.append(Subspace(n, m, v))
+            q = bits.find("1", q + 1)
 
 
 def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:

@@ -454,6 +454,15 @@ class TestBench:
         assert [line.split(",")[:2] for line in lines[2:]] == [["6", "0"], ["6", "1"]]
         assert "results printed are those found before it" in err
 
+    def test_limit_keeps_the_rows_and_exits_3(self, capsys):
+        # seeds 0, 2, 5 and 6 have 2, 4, 2 and 2 minimal trap spaces
+        code, out, err = run(capsys, "--limit", "1", "bench", "--sizes", "6", "--reps", "8")
+        assert code == 3
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert [r[1] for r in rows] == [str(seed) for seed in range(8)]
+        assert all(r[3] == "1" for r in rows)
+        assert "truncated by --limit" in err
+
     def test_bad_sizes_exits_1(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "6,x")
         assert code == 1

@@ -211,9 +211,29 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             brute_force_trap_spaces(example_net, "all", cap=3)
 
-    def test_equals_the_per_state_reference(self):
+    def test_equals_the_per_state_reference(self, monkeypatch):
+        # with the kernel's width below n, the walk decides the leading
+        # variables and hands the kernel its folded tables
+        widths = (dynamics._KERNEL_VARS, 1, 3)
         for net in corpus(200):
-            assert brute_force_trap_spaces(net, "all") == reference_trap_spaces(net)
+            want = reference_trap_spaces(net)
+            for width in widths:
+                monkeypatch.setattr(dynamics, "_KERNEL_VARS", width)
+                assert brute_force_trap_spaces(net, "all") == want
+
+    def test_identity_network_has_every_subspace_in_pattern_order(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_KERNEL_VARS", 3)
+        net = parse_network("targets, factors\n"
+                            + "".join(f"v{i}, v{i}\n" for i in range(1, 8)))
+        got = [str(p) for p in brute_force_trap_spaces(net, "all")]
+        assert got == ["".join(chars) for chars in product("-01", repeat=7)]
+
+    def test_negation_network_prunes_at_the_top(self):
+        # every fixed value is negated at once, so only the whole space
+        # survives, and the walk never leaves its free branch
+        net = parse_network("targets, factors\n"
+                            + "".join(f"v{i}, !v{i}\n" for i in range(1, 23)))
+        assert brute_force_trap_spaces(net, "all", cap=22) == [Subspace.whole(22)]
 
     def test_builds_the_variable_columns_once(self, monkeypatch):
         built = []
