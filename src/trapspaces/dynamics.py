@@ -279,20 +279,12 @@ class _Kernel:
 
     Subspace q has index sum_k d_k * 3^(L-1-k) over its variables k, with
     digit d_k = 0 for free, 1 for fixed 0 and 2 for fixed 1, so index order
-    is pattern order. The L masks are built once per oracle call.
+    is pattern order. The L masks are built once per oracle call; step k is
+    the k-th trailing variable.
     """
 
     def __init__(self, width: int):
-        # step k, for the k-th trailing variable, splits each block of 2h
-        # bits, at the start of a frame of 3w bits, into its halves for 0
-        # and 1; ``starts`` has one bit per frame and ``low`` selects the
-        # low half of every block
-        self.steps = []
-        starts = 1
-        for k in range(width):
-            w, h = 3 ** (width - 1 - k), 1 << (width - 1 - k)
-            self.steps.append((starts * ((1 << h) - 1), h, w))
-            starts |= starts << w | starts << 2 * w
+        self.steps = _expr._cube_steps(width)
 
     def expand(self, table: int, free_holds: int = -1) -> int:
         """The 3^L-bit table that holds at q iff the 2^L-bit ``table`` of
@@ -336,20 +328,50 @@ def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:
 
     mode="all" keeps every one, "min" the inclusion-minimal ones and "max"
     the inclusion-maximal ones strictly below the whole space.
+
+    The spaces are visited most fixed first for "min" and fewest fixed
+    first for "max", so every space strictly below (above) a space comes
+    before it, at a level of the fixed count other than its own, and when
+    there is one, an extremal one among them has been kept. A space is
+    dropped iff a kept space of an earlier level lies strictly below
+    (above) it, tested against all of them at once: bit i of
+    ``fixed[b][c]`` is set iff the i-th kept space fixes the variable of
+    mask bit b at c, and of ``free[b]`` iff it leaves that variable free.
     """
-    # q lies strictly below p iff q fixes every variable p fixes, to the
-    # same values, and some more (mask and vals on the same vocabulary)
-    if mode == "min":
-        keys = [(p.mask, p.vals) for p in spaces]
-        spaces = [p for p in spaces
-                  if not any(qm != p.mask and qm & p.mask == p.mask and qv & p.mask == p.vals
-                             for qm, qv in keys)]
-    elif mode == "max":
-        proper = [p for p in spaces if p.mask != 0]
-        keys = [(q.mask, q.vals) for q in proper]
-        spaces = [p for p in proper
-                  if not any(qm != p.mask and p.mask & qm == qm and p.vals & qm == qv
-                             for qm, qv in keys)]
-    elif mode != "all":
+    if mode == "all":
+        return sorted(spaces, key=str)
+    if mode not in ("min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
-    return sorted(spaces, key=str)
+    lower = mode == "min"
+    if not lower:
+        spaces = [p for p in spaces if p.mask]
+    n = spaces[0].n if spaces else 0
+    fixed = [[0, 0] for _ in range(n)]
+    free = [0] * n
+    kept: list[Subspace] = []
+    level = -1
+    for p in sorted(spaces, key=lambda p: p.mask.bit_count(), reverse=lower):
+        if p.mask.bit_count() != level:
+            level = p.mask.bit_count()
+            earlier = (1 << len(kept)) - 1
+        # those below p fix what p fixes, to the same values; those above
+        # fix nothing that p leaves free or fixes otherwise
+        found = earlier
+        for b in range(n):
+            if not found:
+                break
+            if p.mask >> b & 1:
+                c = p.vals >> b & 1
+                found &= fixed[b][c] if lower else ~fixed[b][1 - c]
+            elif not lower:
+                found &= free[b]
+        if found:
+            continue
+        bit = 1 << len(kept)
+        kept.append(p)
+        for b in range(n):
+            if p.mask >> b & 1:
+                fixed[b][p.vals >> b & 1] |= bit
+            else:
+                free[b] |= bit
+    return sorted(kept, key=str)

@@ -311,6 +311,25 @@ def _column(k: int, pos: int) -> int:
     return column
 
 
+def _cube_steps(k: int) -> list[tuple[int, int, int]]:
+    """The masks that turn a 2^k-bit table into a 3^k-bit table of cubes,
+    one bit per cube, with one step per row bit, most significant first.
+
+    Step j, for row bit k-1-j, splits each block of 2h bits (h = 2^(k-1-j)),
+    at the start of a frame of 3w bits (w = 3^(k-1-j)), into its halves for
+    0 and 1, and ``low`` selects the low half of every block. The caller
+    puts the two halves and their AND at the frame's three w-bit digits, in
+    its own order; the row bits end up as base-3 digits, the most
+    significant row bit as the most significant digit."""
+    steps = []
+    starts = 1  # one bit per frame
+    for j in range(k):
+        w, h = 3 ** (k - 1 - j), 1 << (k - 1 - j)
+        steps.append(((starts << h) - starts, h, w))
+        starts |= starts << w | starts << 2 * w
+    return steps
+
+
 def _tabulate(f: Expression, columns: Sequence[int] | Mapping[int, int], full: int) -> int:
     """The table of ``f`` from the table (column) of each variable index.
 

@@ -9,6 +9,13 @@ The graph stores its arcs once, as the bitmask table ``ArcMasks`` that
 ``build_graph`` writes straight from the prime cubes and that the search,
 the witness checks and the encoders read; the ``HyperArc`` records and the
 per-literal provider index are views built from it on first use.
+
+The primes of a function come from its truth table over its k support
+variables by a fixed number of big-integer operations per variable: the
+2^k-bit table is expanded into a 3^k-bit cube table, one bit per cube,
+that holds the implicants; a filter keeps the implicants that no implicant
+with one more free variable contains; the set bits, read in ascending
+order, are the primes in lexicographic tail order.
 """
 
 from __future__ import annotations
@@ -43,40 +50,36 @@ class HyperArc:
             raise ValueError("tail variables must be distinct")
 
 
-def _primes(table: int, k: int, memo: dict) -> list[tuple[int, int]]:
-    """The prime cubes (mask, vals) over the row bits of a k-variable truth
-    table, by Shannon expansion on its most significant row bit x (the Blake
-    canonical form, after Coudert and Madre): P(f) is x'p for p in P(f0) and
-    xp for p in P(f1) where p is not in P(f0 f1), then P(f0 f1). A prime p
-    of f0 implies f1 exactly when it is a prime of f0 f1. A variable f does
-    not depend on adds no cube, since then f0 = f1.
+def _prime_table(table: int, k: int, memo: dict) -> int:
+    """The prime cubes of a k-variable truth table as a 3^k-bit table, one
+    bit per cube. Cube q has index sum_j d_j * 3^j over the row bits j, with
+    digit d_j = 0 when row bit j is fixed at 0, 1 when it is fixed at 1 and
+    2 when it is free.
 
-    Read as tails over the variables of the row bits, most significant
-    first, the cubes come in lexicographic order: a tail with x at 0 sorts
-    before one with x at 1, and both before the tails without x. The empty
-    tail, which sorts first, is the single cube of a tautology. ``memo``
-    maps (table, k) to the primes.
+    Expand: the steps of ``expr._cube_steps`` turn the truth table into the
+    implicant table, set at q iff the function holds on every row of q: at
+    each row bit, the half for 0 goes to digit 0, the half for 1 to digit 1
+    and their AND to digit 2. Filter: an implicant with row bit j fixed is
+    prime only if freeing j leaves the function, so the implicants with
+    digit j = 2, shifted down by 2 * 3^j to digit 0 and by 3^j to digit 1,
+    clear the cubes they contain. ``memo`` maps k to its steps, built once
+    per call of ``build_graph``; the digit-2 mask of each step is derived
+    from its low mask in turn, so one such mask is live at a time.
     """
-    key = (table, k)
-    cubes = memo.get(key)
-    if cubes is None:
-        if not table:
-            cubes = []
-        elif table == (1 << (1 << k)) - 1:
-            cubes = [(0, 0)]
-        else:
-            half = 1 << (k - 1)
-            f0, f1 = table & ((1 << half) - 1), table >> half
-            both = _primes(f0 & f1, k - 1, memo)
-            common = set(both)
-            bit = 1 << (k - 1)
-            cubes = (
-                [(m | bit, v) for m, v in _primes(f0, k - 1, memo) if (m, v) not in common]
-                + [(m | bit, v | bit) for m, v in _primes(f1, k - 1, memo) if (m, v) not in common]
-                + both
-            )
-        memo[key] = cubes
-    return cubes
+    steps = memo.get(k)
+    if steps is None:
+        steps = memo[k] = _expr._cube_steps(k)
+    for low, h, w in steps:
+        zero, one = table & low, table >> h & low
+        table = zero | one << w | (zero & one) << 2 * w
+    kill = 0
+    for low, _, w in steps:
+        # a step's frames start where the blocks of its low mask do, and
+        # digit 2 is the top third of every frame
+        starts = low & ~(low << 1)
+        freed = table & ((starts << 3 * w) - (starts << 2 * w))
+        kill |= (freed | freed >> w) >> w
+    return table & ~kill
 
 
 def _implicant_litmasks(support: tuple[int, ...], table: int, target: int, c: int,
@@ -84,21 +87,30 @@ def _implicant_litmasks(support: tuple[int, ...], table: int, target: int, c: in
     """The c-prime implicants of a function as literal masks (bit 2*v + d
     for the literal (v, d)), from its truth table over its syntactic
     support, in lexicographic tail order. Only a constant function c has an
-    empty prime; it becomes the literal (target, c)."""
+    empty prime; it becomes the literal (target, c).
+
+    A variable f does not depend on is free in every prime. The first
+    support variable is the most significant digit of ``_prime_table``, and
+    a tail with it at 0 sorts before one with it at 1, both before the
+    tails without it, and so on down the digits: ascending index order is
+    tail order. The set bits are read off one binary string, scanned from
+    its end."""
     k = len(support)
     if not c:
         table ^= (1 << (1 << k)) - 1
-    # row bit b is the variable support[k-1-b]
-    lit0 = [1 << 2 * v for v in reversed(support)]
+    # digit j is the variable support[k-1-j]; its literal mask per value
+    digits = [(lit, lit << 1, 0) for lit in (1 << 2 * v for v in reversed(support))]
+    bits = format(_prime_table(table, k, memo), "b")
+    top = len(bits) - 1
     out = []
-    for mask, vals in _primes(table, k, memo):
-        lits = 0
-        while mask:
-            low = mask & -mask
-            lit = lit0[low.bit_length() - 1]
-            lits |= lit << 1 if vals & low else lit
-            mask ^= low
+    pos = bits.rfind("1")
+    while pos >= 0:
+        q, lits = top - pos, 0
+        for digit in digits:
+            q, d = divmod(q, 3)
+            lits |= digit[d]
         out.append(lits or 1 << (2 * target + c))
+        pos = bits.rfind("1", 0, pos)
     return out
 
 

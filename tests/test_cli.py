@@ -324,6 +324,14 @@ class TestCheck:
             code, out, _ = run(capsys, "check", str(path))
             assert code == 0 and out == "OK\n"
 
+    def test_identity_network_with_every_subspace_a_trap_space(self, capsys, tmp_path):
+        # all 3^8 subspaces are trap spaces: 256 minimal ones (the states)
+        # and 16 maximal ones for the oracle's lists to select
+        path = tmp_path / "identity.bnet"
+        path.write_text("targets, factors\n" + "".join(f"v{i}, v{i}\n" for i in range(1, 9)),
+                        encoding="utf-8")
+        assert run(capsys, "check", str(path))[:2] == (0, "OK\n")
+
     def test_limit_truncation_exits_3(self, capsys, example_file):
         code, out, err = run(capsys, "--limit", "1", "check", example_file)
         assert code == 3

@@ -266,16 +266,27 @@ def subspace_lists(max_n=6):
     return st.integers(1, max_n).flatmap(of_size)
 
 
+def pairwise_select(spaces, mode):
+    """``select_trap_spaces`` by its definition, one pair of spaces at a time."""
+    if mode == "min":
+        want = [p for p in spaces if not any(subspace_lt(q, p) for q in spaces)]
+    else:
+        proper = [p for p in spaces if p.mask != 0]
+        want = [p for p in proper if not any(subspace_lt(p, q) for q in proper)]
+    return sorted(want, key=str)
+
+
 class TestSelectTrapSpaces:
     @settings(max_examples=300, deadline=None)
     @given(subspace_lists(), st.sampled_from(["min", "max"]))
     def test_equals_the_order_definition(self, spaces, mode):
-        if mode == "min":
-            want = [p for p in spaces if not any(subspace_lt(q, p) for q in spaces)]
-        else:
-            proper = [p for p in spaces if p.mask != 0]
-            want = [p for p in proper if not any(subspace_lt(p, q) for q in proper)]
-        assert select_trap_spaces(spaces, mode) == sorted(want, key=str)
+        assert select_trap_spaces(spaces, mode) == pairwise_select(spaces, mode)
+
+    def test_equals_the_order_definition_on_oracle_lists(self):
+        for net in corpus(200):
+            spaces = brute_force_trap_spaces(net, "all")
+            for mode in ("min", "max"):
+                assert select_trap_spaces(spaces, mode) == pairwise_select(spaces, mode)
 
     def test_all_keeps_every_space(self):
         spaces = [Subspace.from_str(t) for t in ("1-", "--", "10")]

@@ -2,19 +2,21 @@ import hashlib
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trapspaces import parse_network
 from trapspaces.errors import SupportTooLargeError
-from trapspaces.expr import And, Const, Not, Or, Var, constant_value, evaluate, parse_expression
+from trapspaces.expr import _column, constant_value, evaluate, parse_expression
 from trapspaces.primes import (
     ArcMasks,
     HyperArc,
     PrimeImplicantGraph,
-    _primes,
+    _implicant_litmasks,
+    _prime_table,
     build_graph,
     c_prime_implicants,
+    literals,
 )
 from trapspaces.space import BooleanNetwork, Subspace, referenced_states, subspace_lt
 
@@ -129,32 +131,112 @@ def _oracle_primes(f, c, n):
     }
 
 
-def _table_expression(table, k, first=0):
-    """An expression over v_first..v_(first+k-1) whose truth table is
-    ``table``, with row bit k-1-j for v_(first+j): the Shannon expansion on
-    its first variable, then on the next, and so on."""
-    if table in (0, (1 << (1 << k)) - 1):
-        return Const(table & 1)
-    half = 1 << (k - 1)
-    f0, f1 = table & ((1 << half) - 1), table >> half
-    x = Var(first)
-    return Or((And((Not(x), _table_expression(f0, k - 1, first + 1))),
-               And((x, _table_expression(f1, k - 1, first + 1)))))
+def _cube_rows(columns, mask, vals):
+    """The row set of the cube (mask, vals) over the row bits of a truth
+    table whose row bit b has the table ``columns[b]``."""
+    rows = (1 << (1 << len(columns))) - 1
+    for b, column in enumerate(columns):
+        if mask >> b & 1:
+            rows &= column if vals >> b & 1 else ~column
+    return rows
+
+
+def _litmask_cube(k, lits):
+    """A literal mask over the variables 0..k-1 as a cube (mask, vals) over
+    row bits, row bit k-1-v holding the variable v."""
+    mask = vals = 0
+    for v, d in literals(lits):
+        mask |= 1 << (k - 1 - v)
+        vals |= d << (k - 1 - v)
+    return mask, vals
+
+
+def _tails(lits):
+    return [literals(t) for t in lits]
 
 
 class TestPrimeCubes:
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), k=st.integers(1, 6))
-    def test_lexicographic_tail_order_and_oracle(self, data, k):
-        table = data.draw(st.integers(0, (1 << (1 << k)) - 1))
-        cubes = _primes(table, k, {})
-        # row bit k-1-j is v_j, so a cube (mask, vals) is the subspace
-        # (k, mask, vals) and its tail lists v_0, v_1, ... in that order
-        tails = [tuple((j, (vals >> (k - 1 - j)) & 1) for j in range(k)
-                       if (mask >> (k - 1 - j)) & 1) for mask, vals in cubes]
+    # the kernel against a definition read straight off the truth table: a
+    # cube is a prime iff all its rows are true and freeing any one of its
+    # fixed row bits takes in a false row
+
+    @staticmethod
+    def _table_primes(table, k):
+        columns = [_column(k, b) for b in range(k)]
+        implicant = {}
+        for digits in product((0, 1, 2), repeat=k):
+            mask = sum(1 << b for b, d in enumerate(digits) if d < 2)
+            vals = sum(1 << b for b, d in enumerate(digits) if d == 1)
+            implicant[mask, vals] = not _cube_rows(columns, mask, vals) & ~table
+        return {
+            (mask, vals) for (mask, vals), holds in implicant.items()
+            if holds and not any(
+                implicant[mask ^ 1 << b, vals & ~(1 << b)]
+                for b in range(k) if mask >> b & 1)
+        }
+
+    def _check(self, table, k):
+        want = self._table_primes(table, k)
+        bits = _prime_table(table, k, {})
+        assert bits < 1 << 3 ** k
+        cubes = set()
+        for q in range(3 ** k):
+            if bits >> q & 1:
+                mask = vals = 0
+                for b in range(k):
+                    q, d = divmod(q, 3)
+                    if d < 2:
+                        mask |= 1 << b
+                        vals |= d << b
+                cubes.add((mask, vals))
+        assert cubes == want
+        lits = _implicant_litmasks(tuple(range(k)), table, k, 1, {})
+        if table == (1 << (1 << k)) - 1:
+            # a tautology's one prime is the empty cube: the self-loop literal
+            assert lits == [1 << (2 * k + 1)]
+        else:
+            assert {_litmask_cube(k, t) for t in lits} == want
+        tails = _tails(lits)
         assert tails == sorted(set(tails))
-        f = _table_expression(table, k)
-        assert {Subspace(k, mask, vals) for mask, vals in cubes} == _oracle_primes(f, 1, k)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_constant_tables(self, k):
+        self._check(0, k)
+        self._check((1 << (1 << k)) - 1, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), k=st.integers(0, 7))
+    def test_lexicographic_tail_order_and_oracle(self, data, k):
+        self._check(data.draw(st.integers(0, (1 << (1 << k)) - 1)), k)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), k=st.integers(8, 12))
+    def test_certificate_at_wide_supports(self, data, k):
+        # a certificate that does not depend on how the primes were found:
+        # every cube is an implicant, freeing any one literal leaves the
+        # function, every true row is covered, and the cubes come in
+        # lexicographic tail order
+        full = (1 << (1 << k)) - 1
+        # AND or OR of random tables gives sparse and dense functions too
+        draws = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+        table = draws[0]
+        for other in draws[1:]:
+            table = table & other if data.draw(st.booleans()) else table | other
+        assume(table != full)  # a tautology has the empty prime, pinned above
+        lits = _implicant_litmasks(tuple(range(k)), table, k, 1, {})
+        columns = [_column(k, b) for b in range(k)]
+        covered = 0
+        for t in lits:
+            mask, vals = _litmask_cube(k, t)
+            rows = _cube_rows(columns, mask, vals)
+            assert not rows & ~table
+            for b in range(k):
+                if mask >> b & 1:
+                    assert _cube_rows(columns, mask ^ 1 << b, vals & ~(1 << b)) & ~table
+            covered |= rows
+        assert covered == table
+        tails = _tails(lits)
+        assert tails == sorted(set(tails))
 
 
 class TestHyperArc:
@@ -256,7 +338,7 @@ class TestGraphGeneral:
 # SHA-256 of the (id, tail, head) arc lists of build_graph on corpus(200)
 # and the eight dense-export networks, recorded from the earlier
 # Quine-McCluskey prime generation so that it pins the arcs independently
-# of the Shannon expansion that replaced it
+# of the cube-table kernel that now finds the primes
 GOLDEN_ARCS_SHA256 = "65c57b9e9859814478282e3b44e7435ac4c422c351d7fb8ea8105af57874069a"
 
 
