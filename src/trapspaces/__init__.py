@@ -32,7 +32,7 @@ from .expr import (
     parse_expression,
     restrict,
 )
-from .primes import HyperArc, PrimeImplicant, PrimeImplicantGraph, build_graph, c_prime_implicants
+from .primes import PrimeImplicantGraph, build_graph
 from .randgen import GeneratorConfig, generate
 from .solver import (
     ArcSetSolution,

@@ -192,10 +192,9 @@ def _cmd_primes(args) -> _Result:
     net = _load(args)
     names = net.variables
     rows = []
-    for arc in build_graph(net, cap=args.support_cap).arcs:
-        tail = ",".join(f"{names[v]}={c}" for v, c in arc.tail)
-        hv, hc = arc.head
-        rows.append(f"{arc.id} {tail} -> {names[hv]}={hc}")
+    for a, tail, (hv, hc) in build_graph(net).arcs:
+        tail_text = ",".join(f"{names[v]}={c}" for v, c in tail)
+        rows.append(f"{a} {tail_text} -> {names[hv]}={hc}")
     return _Result(_lines(rows))
 
 
@@ -204,7 +203,7 @@ def _cmd_trapspaces(args) -> _Result:
     if args.mode == "all":
         spaces = _oracle(net, args)
         return _spaces(net, "all", spaces[:args.limit], _cut(spaces, args.limit))
-    g = build_graph(net, cap=args.support_cap)
+    g = build_graph(net)
     fn = _solver.min_trap_spaces if args.mode == "min" else _solver.max_trap_spaces
     try:
         report = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
@@ -217,7 +216,7 @@ def _cmd_trapspaces(args) -> _Result:
 
 def _cmd_steady(args) -> _Result:
     net = _load(args)
-    g = build_graph(net, cap=args.support_cap)
+    g = build_graph(net)
     # one state more than the limit tells a truncated list from a full one
     try:
         states = _solver.steady_states(net, args.limit + 1, args.timeout, graph=g)
@@ -315,7 +314,7 @@ def _cmd_check(args) -> _Result:
     oracle = _oracle(net, args)
     oracle_min = _dynamics.select_trap_spaces(oracle, "min")
     oracle_max = _dynamics.select_trap_spaces(oracle, "max")
-    g = build_graph(net, cap=args.support_cap)
+    g = build_graph(net)
     got_min = _solver.min_trap_spaces(net, args.limit, args.timeout, graph=g)
     got_max = _solver.max_trap_spaces(net, args.limit, args.timeout, graph=g)
     # one state more than the limit tells a truncated list from a full one
@@ -362,8 +361,9 @@ def _cmd_bench(args) -> _Result:
     stop = "complete"
     for seed, n in enumerate(runs, start=args.seed):
         net = _randgen.generate(_randgen.GeneratorConfig(n=n, k=args.k, seed=seed))
-        g = build_graph(net, cap=args.support_cap)
-        row = [n, seed, g.masks.m]
+        net = BooleanNetwork(net.variables, net.functions, args.support_cap)
+        g = build_graph(net)
+        row = [n, seed, g.m]
         for fn in (_solver.min_trap_spaces, _solver.max_trap_spaces):
             start = time.monotonic()
             try:
@@ -383,7 +383,7 @@ def _cmd_bench(args) -> _Result:
 def _cmd_encode(args) -> _Result:
     net = _load(args)
     emit = _encode.emit_asp if args.format == "asp" else _encode.emit_ilp
-    return _Result(emit(build_graph(net, cap=args.support_cap), args.mode))
+    return _Result(emit(build_graph(net), args.mode))
 
 
 _COMMANDS = {

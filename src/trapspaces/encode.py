@@ -56,8 +56,7 @@ def emit_asp(g: PrimeImplicantGraph, mode: str) -> str:
     # the facts of the literal (v, c), at index 2*v + c, up to the arc id
     head_text = [f"head({atom},{c},a" for atom in atoms for c in (0, 1)]
     tail_text = [f" tail({atom},{c},a" for atom in atoms for c in (0, 1)]
-    masks = g.masks
-    for a, (h, t) in enumerate(zip(masks.head_lit, masks.tail_litmask), 1):
+    for a, (h, t) in enumerate(zip(g.head_lit, g.tail_litmask), 1):
         end = f"{a})."
         facts = head_text[h] + end
         while t:
@@ -84,8 +83,7 @@ def emit_ilp(g: PrimeImplicantGraph, mode: str) -> str:
     _check_mode(mode)
     atoms = _atom_names(g.network.variables)
     target = "maximal trap spaces" if mode == "min" else "minimal trap spaces"
-    masks = g.masks
-    ids = [str(a) for a in range(1, masks.m + 1)]
+    ids = [str(a) for a in range(1, g.m + 1)]
     x_names = ["x_a" + a for a in ids]
     lines = [
         "\\ stable and consistent arc sets of the prime implicant graph",
@@ -99,7 +97,7 @@ def emit_ilp(g: PrimeImplicantGraph, mode: str) -> str:
     ]
     for v, atom in enumerate(atoms):
         for c in (0, 1):
-            providers = masks.ids(masks.heads_mask[2 * v + c])
+            providers = g.ids(g.heads_mask[2 * v + c])
             y = f"y_{atom}_{c}"
             if providers:
                 # y <= sum of inducing arcs
@@ -113,7 +111,7 @@ def emit_ilp(g: PrimeImplicantGraph, mode: str) -> str:
     # the ilp2 row of the literal (v, c), at index 2*v + c, is cut at the
     # two places that hold the arc id
     ilp2_text = [(f"_{atom}: x_a", f" - y_{atom}_{c} <= 0") for atom in atoms for c in (0, 1)]
-    for a, t in zip(ids, masks.tail_litmask):
+    for a, t in zip(ids, g.tail_litmask):
         while t:
             low = t & -t
             middle, end = ilp2_text[low.bit_length() - 1]

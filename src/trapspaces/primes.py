@@ -5,10 +5,10 @@ which f is the constant c. A constant function f = c contributes a single
 self-referential implicant fixing its own target variable at c, which makes
 input-like variables self-stabilizing. Each implicant becomes one hyperarc:
 tail = the implicant decomposed into literals, head = the induced literal.
-The graph stores its arcs once, as the bitmask table ``ArcMasks`` that
+The graph is one bitmask arc table, ``PrimeImplicantGraph``, that
 ``build_graph`` writes straight from the prime cubes and that the search,
-the witness checks and the encoders read; the ``HyperArc`` records and the
-per-literal provider index are views built from it on first use.
+the witness checks and the encoders read; its ``arcs`` view, which the
+``primes`` command prints, lists the arcs as (id, tail, head) tuples.
 
 The primes of a function come from its truth table over its k support
 variables by a fixed number of big-integer operations per variable: the
@@ -20,34 +20,10 @@ order, are the primes in lexicographic tail order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
-
 from . import expr as _expr
-from .space import BooleanNetwork, Subspace
+from .space import BooleanNetwork
 
 Literal = tuple[int, int]  # (variable index, value)
-
-
-@dataclass(frozen=True)
-class PrimeImplicant:
-    subspace: Subspace
-    value: int
-    target: int
-
-
-@dataclass(frozen=True)
-class HyperArc:
-    id: int
-    tail: tuple[Literal, ...]
-    head: Literal
-
-    def __post_init__(self):
-        if not self.tail:
-            raise ValueError("arc tail must be non-empty")
-        if len({v for v, _ in self.tail}) != len(self.tail):
-            raise ValueError("tail variables must be distinct")
 
 
 def _prime_table(table: int, k: int, memo: dict) -> int:
@@ -125,34 +101,22 @@ def literals(litmask: int) -> tuple[Literal, ...]:
     return tuple(out)
 
 
-def c_prime_implicants(
-    f: _expr.Expression,
-    c: int,
-    target: int,
-    n: int,
-    cap: int = _expr.DEFAULT_SUPPORT_CAP,
-) -> list[PrimeImplicant]:
-    """All c-prime implicants of f, embedded over the full vocabulary of size n.
+class PrimeImplicantGraph:
+    """The directed hypergraph with one arc per prime implicant, as one
+    bitmask table: the arc of id k has bit k-1 and the literal (v, c) has
+    bit 2*v + c. Per arc, its head literal and the literal mask of its
+    tail; per literal, the arcs providing it and the arcs with it in their
+    tail; per variable, the arcs mentioning it.
 
-    Only essential variables occur in them.
-    """
-    return [
-        PrimeImplicant(Subspace.from_items(n, literals(lits)), c, target)
-        for lits in _implicant_litmasks(*_expr.tabulate(f, cap), target, c, {})
-    ]
-
-
-class ArcMasks:
-    """The arcs of a graph as bitmasks: the arc of id k has bit k-1 and the
-    literal (v, c) has bit 2*v + c. Per arc, its head literal and the
-    literal mask of its tail; per literal, the arcs providing it and the
-    arcs with it in their tail; per variable, the arcs mentioning it.
-
+    Arcs are sorted by (target variable, value descending, tail) and ids are
+    assigned 1-based in that order, so output is reproducible byte-for-byte.
     Every tail must be non-empty and hold at most one literal per variable.
     """
 
-    def __init__(self, n: int, head_lit: list[int], tail_litmask: list[int]):
-        self.n = n
+    def __init__(self, network: BooleanNetwork, head_lit: list[int],
+                 tail_litmask: list[int]):
+        self.network = network
+        n = self.n = network.n
         self.m = len(head_lit)
         self.head_lit = head_lit
         self.tail_litmask = tail_litmask
@@ -186,61 +150,27 @@ class ArcMasks:
             mask ^= low
         return tuple(out)
 
-
-@dataclass(frozen=True)
-class PrimeImplicantGraph:
-    """The directed hypergraph with one arc per prime implicant.
-
-    Arcs are sorted by (target variable, value descending, tail) and ids are
-    assigned 1-based in that order, so output is reproducible byte-for-byte.
-    ``masks`` is the one stored arc table; ``arcs`` and ``by_head`` are
-    built from it on first use.
-    """
-
-    network: BooleanNetwork
-    masks: ArcMasks
-
-    @cached_property
-    def arcs(self) -> tuple[HyperArc, ...]:
-        """The arcs as records, in id order."""
-        masks = self.masks
+    @property
+    def arcs(self) -> tuple[tuple[int, tuple[Literal, ...], Literal], ...]:
+        """The arcs as (id, tail literals, head literal), in id order."""
         return tuple(
-            HyperArc(a, literals(t), divmod(h, 2))
-            for a, (h, t) in enumerate(zip(masks.head_lit, masks.tail_litmask), 1)
+            (a, literals(t), divmod(h, 2))
+            for a, (h, t) in enumerate(zip(self.head_lit, self.tail_litmask), 1)
         )
 
-    @cached_property
-    def by_head(self) -> dict[Literal, tuple[int, ...]]:
-        """For each literal (v, c) some arc induces, the ids of those arcs."""
-        masks = self.masks
-        return {
-            (v, c): masks.ids(masks.heads_mask[2 * v + c])
-            for v in range(self.n) for c in (1, 0)
-            if masks.heads_mask[2 * v + c]
-        }
 
-    def arc(self, arc_id: int) -> HyperArc:
-        if not 1 <= arc_id <= self.masks.m:
-            raise KeyError(f"unknown arc id {arc_id}")
-        return self.arcs[arc_id - 1]
-
-    @property
-    def n(self) -> int:
-        return self.network.n
-
-
-def build_graph(net: BooleanNetwork, cap: Optional[int] = None) -> PrimeImplicantGraph:
+def build_graph(net: BooleanNetwork) -> PrimeImplicantGraph:
     """Enumerate all prime implicants of the network and assemble the graph.
 
     Per target variable, the 1-primes come before the 0-primes, each in
     tail order, so arc ids follow without a sort. The functions' supports
-    must fit ``cap`` (default: the network's ``support_cap``)."""
+    must fit the network's ``support_cap``."""
     head_lit: list[int] = []
     tail_litmask: list[int] = []
     memo: dict = {}
-    for i, (support, table) in enumerate(net.tables(cap)):
+    for i, (support, table) in enumerate(net.tables()):
         for c in (1, 0):
             tails = _implicant_litmasks(support, table, i, c, memo)
             head_lit.extend([2 * i + c] * len(tails))
             tail_litmask.extend(tails)
-    return PrimeImplicantGraph(net, ArcMasks(net.n, head_lit, tail_litmask))
+    return PrimeImplicantGraph(net, head_lit, tail_litmask)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InconsistentArcSetError, SolverTimeoutError, TrapSpacesError
-from .primes import ArcMasks, PrimeImplicantGraph, build_graph, literals
+from .primes import PrimeImplicantGraph, build_graph, literals
 from .space import BooleanNetwork, Subspace
 
 DEFAULT_LIMIT = 100_000
@@ -60,12 +60,11 @@ def _heads(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> int:
     """The literal mask of the heads of ``arc_ids``; raises KeyError at an
     unknown id and InconsistentArcSetError at the first head that assigns
     a variable the opposite of an earlier one."""
-    masks = g.masks
     heads = 0
     for a in arc_ids:
-        if not 1 <= a <= masks.m:
+        if not 1 <= a <= g.m:
             raise KeyError(f"unknown arc id {a}")
-        lit = masks.head_lit[a - 1]
+        lit = g.head_lit[a - 1]
         if heads >> (lit ^ 1) & 1:
             raise InconsistentArcSetError(
                 f"arcs assign both values to variable index {lit >> 1}"
@@ -85,13 +84,12 @@ def is_consistent(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
 
 def is_stable(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
     """True iff every tail literal of every arc is the head of some arc."""
-    masks = g.masks
     heads = tails = 0
     for a in arc_ids:
-        if not 1 <= a <= masks.m:
+        if not 1 <= a <= g.m:
             raise KeyError(f"unknown arc id {a}")
-        heads |= 1 << masks.head_lit[a - 1]
-        tails |= masks.tail_litmask[a - 1]
+        heads |= 1 << g.head_lit[a - 1]
+        tails |= g.tail_litmask[a - 1]
     return not tails & ~heads
 
 
@@ -104,17 +102,17 @@ class _Infeasible(Exception):
     pass
 
 
-def _first_providers(masks: ArcMasks, lits: int) -> int:
+def _first_providers(g: PrimeImplicantGraph, lits: int) -> int:
     """For each literal of ``lits``, its smallest-id arc whose tail lies in
     ``lits``."""
     chosen = 0
     rest = lits
     while rest:
         low = rest & -rest
-        prov = masks.heads_mask[low.bit_length() - 1]
+        prov = g.heads_mask[low.bit_length() - 1]
         while prov:
             a = prov & -prov
-            if not (masks.tail_litmask[a.bit_length() - 1] & ~lits):
+            if not (g.tail_litmask[a.bit_length() - 1] & ~lits):
                 chosen |= a
                 break
             prov ^= a
@@ -144,9 +142,9 @@ class _Search:
     space ``fixed``.
     """
 
-    def __init__(self, masks: ArcMasks, fixed_first: bool, allow_free: bool,
+    def __init__(self, g: PrimeImplicantGraph, fixed_first: bool, allow_free: bool,
                  deadline: Optional[float]):
-        self.masks = masks
+        self.g = g
         self.fixed_first = fixed_first
         self.allow_free = allow_free
         self.deadline = deadline
@@ -155,8 +153,8 @@ class _Search:
         # stack entries: (parent status, alive, fixed, provided, variable,
         # value); the root decides nothing and has every literal pending,
         # so unprovidable tails are pruned up front
-        all_lits = (1 << 2 * masks.n) - 1
-        self.stack = [([_UNDECIDED] * masks.n, (1 << masks.m) - 1, 0, all_lits, -1, _UNDECIDED)]
+        all_lits = (1 << 2 * g.n) - 1
+        self.stack = [([_UNDECIDED] * g.n, (1 << g.m) - 1, 0, all_lits, -1, _UNDECIDED)]
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -166,7 +164,7 @@ class _Search:
         """The next leaf as (fixed literals, alive arcs); None once the tree
         is exhausted. Raises SolverTimeoutError past the deadline."""
         self._check_deadline()
-        masks = self.masks
+        g = self.g
         stack = self.stack
         while stack:
             parent, alive, fixed, provided, var, value = stack.pop()
@@ -175,7 +173,7 @@ class _Search:
                 self._check_deadline()
             status = list(parent)
             if var < 0:
-                queue, pending = [], set(range(2 * masks.n))
+                queue, pending = [], set(range(2 * g.n))
             else:
                 status[var] = value
                 queue, pending = [var], set()
@@ -186,15 +184,15 @@ class _Search:
                 continue
             # branch on the undecided variable touching the most alive arcs
             branch_var, best_score = -1, -1
-            for v in range(masks.n):
+            for v in range(g.n):
                 if status[v] == _UNDECIDED:
-                    score = (alive & masks.involving[v]).bit_count()
+                    score = (alive & g.involving[v]).bit_count()
                     if score > best_score:
                         branch_var, best_score = v, score
             if branch_var < 0:
                 return fixed, alive
-            ones = (alive & masks.heads_mask[2 * branch_var + 1]).bit_count()
-            zeros = (alive & masks.heads_mask[2 * branch_var]).bit_count()
+            ones = (alive & g.heads_mask[2 * branch_var + 1]).bit_count()
+            zeros = (alive & g.heads_mask[2 * branch_var]).bit_count()
             order = [1, 0] if ones >= zeros else [0, 1]
             if self.allow_free:
                 order = order + [_FREE] if self.fixed_first else [_FREE] + order
@@ -208,10 +206,10 @@ class _Search:
         holds literals whose alive provider set may have shrunk. Arcs killed
         (dropped from ``alive``) collect in ``dead`` until their head
         literals join ``pending``."""
-        masks = self.masks
-        heads_mask = masks.heads_mask
-        tailed_by = masks.tailed_by
-        head_lit = masks.head_lit
+        g = self.g
+        heads_mask = g.heads_mask
+        tailed_by = g.tailed_by
+        head_lit = g.head_lit
         dead = 0
         while True:
             while True:
@@ -219,7 +217,7 @@ class _Search:
                     v = queue.pop()
                     s = status[v]
                     if s == _FREE:
-                        gone = alive & masks.involving[v]
+                        gone = alive & g.involving[v]
                     else:
                         gone = alive & (heads_mask[2 * v + 1 - s] | tailed_by[2 * v + 1 - s])
                         fixed |= 1 << (2 * v + s)
@@ -253,7 +251,7 @@ class _Search:
                     common = -1
                     while prov:
                         low = prov & -prov
-                        common &= masks.tail_litmask[low.bit_length() - 1]
+                        common &= g.tail_litmask[low.bit_length() - 1]
                         if common == 0:
                             break
                         prov ^= low
@@ -338,8 +336,7 @@ def enumerate_extremal(
         raise TrapSpacesError("timeout must be a number of seconds, got nan")
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
-    masks = g.masks
-    search = _Search(masks, fixed_first=mode == "max",
+    search = _Search(g, fixed_first=mode == "max",
                      allow_free=not require_all_vars, deadline=deadline)
     solutions: list[ArcSetSolution] = []
     iterations = 0
@@ -357,7 +354,7 @@ def enumerate_extremal(
                 break
             lits, alive = leaf
             search.nogoods.append(lits)
-            ids = masks.ids(alive if mode == "max" else _first_providers(masks, lits))
+            ids = g.ids(alive if mode == "max" else _first_providers(g, lits))
             if not (is_consistent(g, ids) and is_stable(g, ids)):
                 raise TrapSpacesError("search produced an invalid arc set")
             solutions.append(ArcSetSolution(ids, induced_subspace(g, ids)))
@@ -397,7 +394,7 @@ def trap_space_report(g: PrimeImplicantGraph, result: EnumerationResult,
         spaces=[sol.induced for sol in solutions],
         witnesses=solutions,
         stats={
-            "arcs": g.masks.m,
+            "arcs": g.m,
             "iterations": result.iterations,
             "nodes": result.nodes,
             "elapsed": result.elapsed,

@@ -121,23 +121,12 @@ class Subspace:
     def contains_state(self, x: int) -> bool:
         return (x & self.mask) == self.vals
 
-    def intersect(self, other: "Subspace") -> Optional["Subspace"]:
-        """Intersection of the referenced state sets, or None if empty."""
-        common = self.mask & other.mask
-        if (self.vals ^ other.vals) & common:
-            return None
-        return Subspace(self.n, self.mask | other.mask, self.vals | other.vals)
-
 
 def subspace_leq(p: Subspace, q: Subspace) -> bool:
     """p <= q iff the states of p are contained in those of q."""
     if p.n != q.n:
         raise TrapSpacesError("subspaces over different vocabularies")
     return (q.mask & ~p.mask) == 0 and (p.vals & q.mask) == q.vals
-
-
-def subspace_lt(p: Subspace, q: Subspace) -> bool:
-    return p != q and subspace_leq(p, q)
 
 
 def referenced_states(p: Subspace, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
@@ -177,10 +166,10 @@ class BooleanNetwork:
 
     Each function's sorted syntactic support is computed once, when the
     network is built, and its truth table once, on first use (``tables``).
-    ``support_cap`` bounds the syntactic supports for every caller that
-    passes no cap of its own: the tables here (``eval_function``,
-    ``restricted_constant``) and the state-space layer in ``dynamics``,
-    whose tables span all variables (``check_supports``).
+    ``support_cap`` bounds the syntactic supports for every layer: the
+    tables here (``eval_function``, ``restricted_constant``, ``primes``)
+    and the state-space layer in ``dynamics``, whose tables span all
+    variables (``check_supports``).
     """
 
     variables: tuple[str, ...]
@@ -212,24 +201,21 @@ class BooleanNetwork:
         functions = tuple(_expr.parse_expression(text, names) for _, text in pairs)
         return BooleanNetwork(names, functions)
 
-    def check_supports(self, cap: Optional[int] = None) -> None:
+    def check_supports(self) -> None:
         """Raise SupportTooLargeError at the first syntactic support above
-        ``cap`` (default ``support_cap``)."""
-        cap = self.support_cap if cap is None else cap
+        ``support_cap``."""
         for support in self.supports:
-            if len(support) > cap:
-                raise SupportTooLargeError(len(support), cap)
+            if len(support) > self.support_cap:
+                raise SupportTooLargeError(len(support), self.support_cap)
 
-    def tables(self, cap: Optional[int] = None) -> list[tuple[tuple[int, ...], int]]:
+    def tables(self) -> list[tuple[tuple[int, ...], int]]:
         """Per function: its sorted syntactic support and the truth table over
         it (``expr.truth_table``), tabulated on the first call and shared by
-        every later one. Each call checks the supports against ``cap``
-        (``check_supports``)."""
-        cap = self.support_cap if cap is None else cap
-        self.check_supports(cap)
+        every later one. The supports must fit ``support_cap``."""
         if self._tables is None:
+            self.check_supports()
             object.__setattr__(self, "_tables", [
-                (support, _expr.truth_table(f, support, cap))
+                (support, _expr.truth_table(f, support, self.support_cap))
                 for support, f in zip(self.supports, self.functions)
             ])
         return self._tables

@@ -64,7 +64,7 @@ def test_criterion_1_running_example_golden_suite():
         (((2, 0),), (3, 1)),
         (((2, 1),), (3, 0)),
     ]
-    checks.append([(a.tail, a.head) for a in g.arcs] == expected_arcs)
+    checks.append([(tail, head) for _, tail, head in g.arcs] == expected_arcs)
 
     for x, fx in [("1101", "1101"), ("0000", "0001"),
                   ("0110", "1000"), ("1111", "1100")]:

@@ -13,7 +13,7 @@ from trapspaces.dynamics import (
     select_trap_spaces,
 )
 from trapspaces.errors import CapExceededError, TrapSpacesError
-from trapspaces.space import Subspace, referenced_states, subspace_lt
+from trapspaces.space import Subspace, referenced_states, subspace_leq
 
 from conftest import corpus
 
@@ -269,10 +269,10 @@ def subspace_lists(max_n=6):
 def pairwise_select(spaces, mode):
     """``select_trap_spaces`` by its definition, one pair of spaces at a time."""
     if mode == "min":
-        want = [p for p in spaces if not any(subspace_lt(q, p) for q in spaces)]
+        want = [p for p in spaces if not any(q != p and subspace_leq(q, p) for q in spaces)]
     else:
         proper = [p for p in spaces if p.mask != 0]
-        want = [p for p in proper if not any(subspace_lt(p, q) for q in proper)]
+        want = [p for p in proper if not any(p != q and subspace_leq(p, q) for q in proper)]
     return sorted(want, key=str)
 
 

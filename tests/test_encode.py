@@ -104,8 +104,8 @@ class TestModeValidation:
 
 
 # SHA-256 of the ASP and ILP text, min and max mode, on corpus(200) and the
-# eight dense-export networks, recorded when the encoders read the arc list
-# of HyperArc records
+# eight dense-export networks, recorded when the encoders read one record
+# per arc, before they read the bitmask arc table
 GOLDEN_ENCODING_SHA256 = "6ea0e99d1cefe4e416b3238898f28d1591e33073f08609bc61cec0966e3e2c0a"
 
 
@@ -257,7 +257,7 @@ class TestIlpSemantics:
     @pytest.fixture(scope="class")
     def few_arcs(self):
         graphs = [build_graph(net) for net in corpus(200)]
-        return [g for g in graphs if g.masks.m <= 24]
+        return [g for g in graphs if g.m <= 24]
 
     def test_max_mode_gives_the_minimal_trap_spaces(self, few_arcs):
         assert len(few_arcs) > 20

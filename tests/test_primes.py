@@ -7,27 +7,38 @@ from hypothesis import strategies as st
 
 from trapspaces import parse_network
 from trapspaces.errors import SupportTooLargeError
-from trapspaces.expr import _column, constant_value, evaluate, parse_expression
+from trapspaces.expr import (
+    DEFAULT_SUPPORT_CAP,
+    _column,
+    constant_value,
+    evaluate,
+    parse_expression,
+    tabulate,
+)
 from trapspaces.primes import (
-    ArcMasks,
-    HyperArc,
     PrimeImplicantGraph,
     _implicant_litmasks,
     _prime_table,
     build_graph,
-    c_prime_implicants,
     literals,
 )
-from trapspaces.space import BooleanNetwork, Subspace, referenced_states, subspace_lt
+from trapspaces.space import BooleanNetwork, Subspace, referenced_states, subspace_leq
 
 from conftest import corpus, dense, expressions
 
 VOCAB = ("v1", "v2", "v3", "v4")
 
 
+def prime_spaces(f, c, target, n, cap=DEFAULT_SUPPORT_CAP):
+    """The c-prime implicants of f as subspaces over n variables, in tail
+    order."""
+    return [Subspace.from_items(n, literals(lits))
+            for lits in _implicant_litmasks(*tabulate(f, cap), target, c, {})]
+
+
 def primes_of(text, c, target=0, n=4, vocab=VOCAB):
     f = parse_expression(text, vocab)
-    return {str(pi.subspace) for pi in c_prime_implicants(f, c, target, n)}
+    return {str(p) for p in prime_spaces(f, c, target, n)}
 
 
 class TestCPrimeImplicants:
@@ -51,14 +62,14 @@ class TestCPrimeImplicants:
 
     def test_constant_function_yields_self_loop(self):
         f = parse_expression("1", VOCAB)
-        ones = c_prime_implicants(f, 1, 2, 4)
-        assert [str(pi.subspace) for pi in ones] == ["--1-"]
-        assert c_prime_implicants(f, 0, 2, 4) == []
+        ones = prime_spaces(f, 1, 2, 4)
+        assert [str(p) for p in ones] == ["--1-"]
+        assert prime_spaces(f, 0, 2, 4) == []
 
     def test_hidden_constant_function(self):
         f = parse_expression("v1 | !v1", VOCAB)
         assert primes_of("v1 | !v1", 1) == {"1---"}
-        assert c_prime_implicants(f, 0, 0, 4) == []
+        assert prime_spaces(f, 0, 0, 4) == []
 
     def test_fictitious_variable_never_appears(self):
         # v2 is syntactic but not essential
@@ -71,18 +82,18 @@ class TestCPrimeImplicants:
         names = tuple(f"x{i}" for i in range(6))
         f = parse_expression(" | ".join(names), names)
         with pytest.raises(SupportTooLargeError):
-            c_prime_implicants(f, 1, 0, 6, cap=5)
+            prime_spaces(f, 1, 0, 6, cap=5)
 
     def test_support_cap_counts_fictitious_variables(self):
         # six syntactic variables, only x0 essential: the cap still applies
         names = tuple(f"x{i}" for i in range(6))
         f = parse_expression("x0 | (x1 & !x1 & x2 & x3 & x4 & x5)", names)
-        assert [str(pi.subspace) for pi in c_prime_implicants(f, 1, 0, 6)] == ["1-----"]
+        assert [str(p) for p in prime_spaces(f, 1, 0, 6)] == ["1-----"]
         with pytest.raises(SupportTooLargeError):
-            c_prime_implicants(f, 1, 0, 6, cap=5)
-        net = BooleanNetwork(names, (f,) * 6)
+            prime_spaces(f, 1, 0, 6, cap=5)
+        net = BooleanNetwork(names, (f,) * 6, support_cap=5)
         with pytest.raises(SupportTooLargeError):
-            build_graph(net, cap=5)
+            build_graph(net)
 
     def test_against_brute_force_oracle(self):
         # soundness, primality and coverage for every non-constant function
@@ -95,9 +106,7 @@ class TestCPrimeImplicants:
                 if constant_value(f) is not None:
                     continue
                 for c in (0, 1):
-                    got = {
-                        pi.subspace for pi in c_prime_implicants(f, c, i, net.n)
-                    }
+                    got = set(prime_spaces(f, c, i, net.n))
                     assert got == _oracle_primes(f, c, net.n)
 
     @settings(max_examples=150, deadline=None)
@@ -105,7 +114,7 @@ class TestCPrimeImplicants:
     def test_random_expressions_against_brute_force_oracle(self, data, n, c):
         f = data.draw(expressions(n))
         target = data.draw(st.integers(0, n - 1))
-        got = {pi.subspace for pi in c_prime_implicants(f, c, target, n)}
+        got = set(prime_spaces(f, c, target, n))
         constant = constant_value(f)
         if constant is None:
             assert got == _oracle_primes(f, c, n)
@@ -127,7 +136,8 @@ def _oracle_primes(f, c, n):
         ):
             implicants.append(p)
     return {
-        p for p in implicants if not any(subspace_lt(p, q) for q in implicants)
+        p for p in implicants
+        if not any(p != q and subspace_leq(p, q) for q in implicants)
     }
 
 
@@ -239,25 +249,18 @@ class TestPrimeCubes:
         assert tails == sorted(set(tails))
 
 
-class TestHyperArc:
-    def test_empty_tail_rejected(self):
-        with pytest.raises(ValueError):
-            HyperArc(1, (), (0, 1))
-
-    def test_duplicate_tail_variable_rejected(self):
-        with pytest.raises(ValueError):
-            HyperArc(1, ((0, 0), (0, 1)), (1, 1))
-
-
 class TestArcMasks:
+    # the tail checks of the graph constructor
+    NET = BooleanNetwork.from_strings([("a", "a"), ("b", "b")])
+
     def test_empty_tail_rejected(self):
         with pytest.raises(ValueError):
-            ArcMasks(2, [1], [0])
+            PrimeImplicantGraph(self.NET, [1], [0])
 
     def test_both_values_of_a_tail_variable_rejected(self):
         # literal (v, c) is bit 2*v + c: 0b11 holds (0, 0) and (0, 1)
         with pytest.raises(ValueError):
-            ArcMasks(2, [3], [0b11])
+            PrimeImplicantGraph(self.NET, [3], [0b11])
 
 
 class TestGraphOnRunningExample:
@@ -277,32 +280,8 @@ class TestGraphOnRunningExample:
     ]
 
     def test_arc_table(self, example_graph):
-        assert len(example_graph.arcs) == 11
-        for arc_id, tail, head in self.EXPECTED:
-            arc = example_graph.arc(arc_id)
-            assert arc.id == arc_id
-            assert arc.tail == tail
-            assert arc.head == head
-
-    def test_arc_view_rebuilt_from_the_masks(self, example_net, example_graph):
-        g = PrimeImplicantGraph(example_net, example_graph.masks)
-        assert g.arcs == tuple(HyperArc(*row) for row in self.EXPECTED)
-
-    def test_by_head_index(self, example_graph):
-        assert example_graph.by_head[(0, 1)] == (1, 2)
-        assert example_graph.by_head[(0, 0)] == (3,)
-        assert example_graph.by_head[(1, 1)] == (4,)
-        assert example_graph.by_head[(1, 0)] == (5, 6)
-        assert example_graph.by_head[(2, 1)] == (7,)
-        assert example_graph.by_head[(2, 0)] == (8, 9)
-        assert example_graph.by_head[(3, 1)] == (10,)
-        assert example_graph.by_head[(3, 0)] == (11,)
-
-    def test_unknown_arc_id(self, example_graph):
-        with pytest.raises(KeyError):
-            example_graph.arc(0)
-        with pytest.raises(KeyError):
-            example_graph.arc(12)
+        assert example_graph.m == 11
+        assert list(example_graph.arcs) == self.EXPECTED
 
     def test_determinism(self, example_net, example_graph):
         again = build_graph(example_net)
@@ -313,7 +292,7 @@ class TestGraphGeneral:
     def test_identity_network_self_arcs(self):
         net = BooleanNetwork.from_strings([("a", "a")])
         g = build_graph(net)
-        assert [(a.tail, a.head) for a in g.arcs] == [
+        assert [(tail, head) for _, tail, head in g.arcs] == [
             (((0, 1),), (0, 1)),
             (((0, 0),), (0, 0)),
         ]
@@ -321,7 +300,7 @@ class TestGraphGeneral:
     def test_constant_network(self):
         net = parse_network("targets, factors\na, 1\nb, a\n")
         g = build_graph(net)
-        assert [(a.tail, a.head) for a in g.arcs] == [
+        assert [(tail, head) for _, tail, head in g.arcs] == [
             (((0, 1),), (0, 1)),
             (((0, 1),), (1, 1)),
             (((0, 0),), (1, 0)),
@@ -330,9 +309,10 @@ class TestGraphGeneral:
     def test_arc_order_value_one_before_zero_per_target(self):
         for net in corpus(10, sizes=(4, 5), seed0=500):
             g = build_graph(net)
-            keys = [(a.head[0], 1 - a.head[1], a.tail) for a in g.arcs]
+            arcs = g.arcs
+            keys = [(v, 1 - c, tail) for _, tail, (v, c) in arcs]
             assert keys == sorted(keys)
-            assert [a.id for a in g.arcs] == list(range(1, len(g.arcs) + 1))
+            assert [a for a, _, _ in arcs] == list(range(1, g.m + 1))
 
 
 # SHA-256 of the (id, tail, head) arc lists of build_graph on corpus(200)
@@ -345,6 +325,5 @@ GOLDEN_ARCS_SHA256 = "65c57b9e9859814478282e3b44e7435ac4c422c351d7fb8ea8105af578
 def test_golden_arc_hash():
     digest = hashlib.sha256()
     for net in [*corpus(200), *dense()]:
-        arcs = build_graph(net).arcs
-        digest.update(repr([(a.id, a.tail, a.head) for a in arcs]).encode())
+        digest.update(repr(list(build_graph(net).arcs)).encode())
     assert digest.hexdigest() == GOLDEN_ARCS_SHA256

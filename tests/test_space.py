@@ -12,7 +12,6 @@ from trapspaces.space import (
     referenced_states,
     smallest_enclosing_subspace,
     subspace_leq,
-    subspace_lt,
 )
 
 S = Subspace.from_str
@@ -52,10 +51,6 @@ class TestSubspaceBasics:
         with pytest.raises(TrapSpacesError):
             S("1-01").state_int
 
-    def test_intersection(self):
-        assert S("1--0").intersect(S("-0-0")) == S("10-0")
-        assert S("1---").intersect(S("0---")) is None
-
 
 class TestPartialOrder:
     def test_examples(self):
@@ -63,10 +58,6 @@ class TestPartialOrder:
         assert not subspace_leq(S("1--1"), S("1-01"))
         assert subspace_leq(S("0000"), S("----"))
         assert not subspace_leq(S("--1-"), S("-0--"))
-
-    def test_strict_order(self):
-        assert subspace_lt(S("1-01"), S("1--1"))
-        assert not subspace_lt(S("1--1"), S("1--1"))
 
     def test_different_vocabularies_rejected(self):
         with pytest.raises(TrapSpacesError):
