@@ -8,7 +8,11 @@ tail = the implicant decomposed into literals, head = the induced literal.
 The graph is one bitmask arc table, ``PrimeImplicantGraph``, that
 ``build_graph`` writes straight from the prime cubes and that the search,
 the witness checks and the encoders read; its ``arcs`` view, which the
-``primes`` command prints, lists the arcs as (id, tail, head) tuples.
+``primes`` command prints, lists the arcs as (id, tail, head) tuples. The
+constructor builds only what every command reads; the per-literal tail
+masks and per-variable arc masks that only the search reads are built on
+the first search (``PrimeImplicantGraph.search_masks``), so an export never
+pays for them.
 
 The primes of a function come from its truth table over its k support
 variables by a fixed number of big-integer operations per variable: the
@@ -20,10 +24,23 @@ order, are the primes in lexicographic tail order.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import groupby, repeat
+from operator import countOf, or_
+from typing import Optional
+
 from . import expr as _expr
 from .space import BooleanNetwork
 
 Literal = tuple[int, int]  # (variable index, value)
+
+# the search masks are transposed in chunks of at least this many arcs: per
+# chunk and literal the cost is a fixed overhead of a few calls plus a few
+# byte operations per arc, so smaller chunks are mostly overhead
+_CHUNK_ARCS = 64
+# per bit position j, the table that maps a byte to b"1" if its bit j is set
+# and to b"0" otherwise
+_BIT_CHARS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 
 
 def _prime_table(table: int, k: int, memo: dict) -> int:
@@ -105,12 +122,21 @@ class PrimeImplicantGraph:
     """The directed hypergraph with one arc per prime implicant, as one
     bitmask table: the arc of id k has bit k-1 and the literal (v, c) has
     bit 2*v + c. Per arc, its head literal and the literal mask of its
-    tail; per literal, the arcs providing it and the arcs with it in their
-    tail; per variable, the arcs mentioning it.
+    tail; per literal, the arcs providing it (``heads_mask``).
 
     Arcs are sorted by (target variable, value descending, tail) and ids are
     assigned 1-based in that order, so output is reproducible byte-for-byte.
     Every tail must be non-empty and hold at most one literal per variable.
+
+    The constructor builds what every command reads. The masks that only
+    the search reads, per literal the arcs with it in their tail and per
+    variable the arcs mentioning it, come from ``search_masks()``: built on
+    its first call, in time linear in the arc count, and kept in a plain
+    attribute, so ``encode`` and ``primes`` never build them. The search
+    binds them once and reads them at every node, so they are no
+    descriptor: a ``property`` calls its getter on every read, and CPython
+    3.11 does not specialise reads of an instance attribute that shadows a
+    ``functools.cached_property``.
     """
 
     def __init__(self, network: BooleanNetwork, head_lit: list[int],
@@ -120,26 +146,62 @@ class PrimeImplicantGraph:
         self.m = len(head_lit)
         self.head_lit = head_lit
         self.tail_litmask = tail_litmask
-        self.heads_mask = [0] * (2 * n)  # arcs providing each literal
-        self.tailed_by = [0] * (2 * n)  # arcs with each literal in their tail
         low_lits = (4 ** n - 1) // 3  # the literal (v, 0) of every variable
-        for a, (h, t) in enumerate(zip(head_lit, tail_litmask)):
+        for t in tail_litmask:
             if not t:
                 raise ValueError("arc tail must be non-empty")
             if t & (t >> 1) & low_lits:
                 raise ValueError("tail variables must be distinct")
-            bit = 1 << a
-            self.heads_mask[h] |= bit
-            while t:
-                low = t & -t
-                self.tailed_by[low.bit_length() - 1] |= bit
-                t ^= low
-        # all arcs mentioning a variable in head or tail
-        self.involving = [
-            self.heads_mask[2 * v] | self.heads_mask[2 * v + 1]
-            | self.tailed_by[2 * v] | self.tailed_by[2 * v + 1]
+        # arcs providing each literal, one range per run of equal heads;
+        # build_graph gives at most one run per literal
+        heads_mask = self.heads_mask = [0] * (2 * n)
+        start = 0
+        for h, run in groupby(head_lit):
+            end = start + countOf(run, h)  # the run's length
+            heads_mask[h] |= (1 << end) - (1 << start)
+            start = end
+        self._search_masks: Optional[tuple[list[int], list[int]]] = None
+
+    def search_masks(self) -> tuple[list[int], list[int]]:
+        """``(tailed_by, involving)``: per literal the arcs with it in their
+        tail, per variable the arcs mentioning it in head or tail. Built on
+        the first call and shared by every later one."""
+        if self._search_masks is None:
+            self._search_masks = self._build_search_masks()
+        return self._search_masks
+
+    def _build_search_masks(self) -> tuple[list[int], list[int]]:
+        """Transpose the tails chunk by chunk. A chunk's tails, last arc
+        first, are packed into byte rows. For each literal some tail of the
+        chunk holds, one strided slice reads that literal's byte of every
+        row, one translation turns the slice into a binary string, and the
+        string is the chunk's part of the literal's mask. An arc costs a few
+        byte operations per literal of its chunk; the arcs of one head share
+        its function's support, so few literals occur per chunk. A chunk
+        costs one shifted OR of up to m bits per literal, and there are at
+        most 2n chunks, so for a given n the total is linear in m."""
+        n, m, tails = self.n, self.m, self.tail_litmask
+        width = (2 * n + 7) // 8  # bytes per packed tail
+        size = max(_CHUNK_ARCS, -(-m // (2 * n)))
+        tailed_by = [0] * (2 * n)
+        for start in range(0, m, size):
+            chunk = tails[start:start + size]
+            chunk.reverse()
+            rows = b"".join(map(int.to_bytes, chunk, repeat(width, len(chunk)),
+                                repeat("little", len(chunk))))
+            lits = reduce(or_, chunk)
+            while lits:
+                low = lits & -lits
+                lit = low.bit_length() - 1
+                column = rows[lit >> 3::width].translate(_BIT_CHARS[lit & 7])
+                tailed_by[lit] |= int(column, 2) << start
+                lits ^= low
+        heads_mask = self.heads_mask
+        involving = [
+            heads_mask[2 * v] | heads_mask[2 * v + 1] | tailed_by[2 * v] | tailed_by[2 * v + 1]
             for v in range(n)
         ]
+        return tailed_by, involving
 
     def ids(self, mask: int) -> tuple[int, ...]:
         """The ids of the arcs in ``mask``, ascending."""

@@ -145,6 +145,7 @@ class _Search:
     def __init__(self, g: PrimeImplicantGraph, fixed_first: bool, allow_free: bool,
                  deadline: Optional[float]):
         self.g = g
+        self.tailed_by, self.involving = g.search_masks()
         self.fixed_first = fixed_first
         self.allow_free = allow_free
         self.deadline = deadline
@@ -184,9 +185,10 @@ class _Search:
                 continue
             # branch on the undecided variable touching the most alive arcs
             branch_var, best_score = -1, -1
+            involving = self.involving
             for v in range(g.n):
                 if status[v] == _UNDECIDED:
-                    score = (alive & g.involving[v]).bit_count()
+                    score = (alive & involving[v]).bit_count()
                     if score > best_score:
                         branch_var, best_score = v, score
             if branch_var < 0:
@@ -208,7 +210,7 @@ class _Search:
         literals join ``pending``."""
         g = self.g
         heads_mask = g.heads_mask
-        tailed_by = g.tailed_by
+        tailed_by = self.tailed_by
         head_lit = g.head_lit
         dead = 0
         while True:
@@ -217,7 +219,7 @@ class _Search:
                     v = queue.pop()
                     s = status[v]
                     if s == _FREE:
-                        gone = alive & g.involving[v]
+                        gone = alive & self.involving[v]
                     else:
                         gone = alive & (heads_mask[2 * v + 1 - s] | tailed_by[2 * v + 1 - s])
                         fixed |= 1 << (2 * v + s)

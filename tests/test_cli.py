@@ -310,6 +310,19 @@ class TestAudit:
         assert "truncated" in err
 
 
+def count_search_mask_builds(monkeypatch):
+    """The list of graphs whose search masks are built from now on."""
+    built = []
+
+    def counting_build(self):
+        built.append(self)
+        return build(self)
+
+    build = primes.PrimeImplicantGraph._build_search_masks
+    monkeypatch.setattr(primes.PrimeImplicantGraph, "_build_search_masks", counting_build)
+    return built
+
+
 class TestCheck:
     def test_example_passes(self, capsys, example_file):
         code, out, _ = run(capsys, "check", example_file)
@@ -356,9 +369,24 @@ class TestCheck:
 
         enumerate_extremal = cli._solver.enumerate_extremal
         monkeypatch.setattr(cli._solver, "enumerate_extremal", counting_enumerate)
+        masks_built = count_search_mask_builds(monkeypatch)
         assert run(capsys, "check", example_file)[:2] == (0, "OK\n")
         assert len(searches) == 3
         assert len(built) == 1
+        assert masks_built == [built[0]]
+
+    def test_search_masks_are_built_by_searches_only(self, capsys, example_file,
+                                                     monkeypatch):
+        masks_built = count_search_mask_builds(monkeypatch)
+        for argv in (["encode", "--format", "asp", "--mode", "min"],
+                     ["encode", "--format", "asp", "--mode", "max"],
+                     ["encode", "--format", "ilp", "--mode", "min"],
+                     ["encode", "--format", "ilp", "--mode", "max"],
+                     ["primes"], ["--json", "primes"]):
+            assert run(capsys, *argv, example_file)[0] == 0
+        assert masks_built == []
+        assert run(capsys, "trapspaces", "--mode", "max", example_file)[0] == 0
+        assert len(masks_built) == 1
 
     def test_only_primes_builds_the_arc_view(self, capsys, example_file, monkeypatch):
         # inside primes only the arc view reads tails back as literals

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -249,6 +250,43 @@ class TestPrimeCubes:
         assert tails == sorted(set(tails))
 
 
+def reference_masks(g):
+    """``heads_mask``, ``tailed_by`` and ``involving`` of ``g``, built arc by
+    arc from ``head_lit`` and ``tail_litmask``: one b"0"/b"1" character per
+    arc, read as a binary number with arc 0 last."""
+    def chars(count):
+        return [bytearray(b"0" * g.m) for _ in range(count)]
+
+    heads, tails, involving = chars(2 * g.n), chars(2 * g.n), chars(g.n)
+    for a, (h, t) in enumerate(zip(g.head_lit, g.tail_litmask)):
+        heads[h][a] = involving[h >> 1][a] = ord("1")
+        for v, c in literals(t):
+            tails[2 * v + c][a] = involving[v][a] = ord("1")
+    return tuple([int(row[::-1] or b"0", 2) for row in rows]
+                 for rows in (heads, tails, involving))
+
+
+def assert_masks_match(g):
+    heads, tails, involving = reference_masks(g)
+    assert g.heads_mask == heads
+    assert g.search_masks() == (tails, involving)
+
+
+def random_graph(n, m, seed, sort_heads=True):
+    """A graph of m random arcs over n variables, with tails of one to three
+    literals; heads in arc order (runs of equal heads) or shuffled."""
+    rng = random.Random(seed)
+    net = BooleanNetwork.from_strings([(f"v{i}", f"v{i}") for i in range(n)])
+    head_lit = [rng.randrange(2 * n) for _ in range(m)]
+    if sort_heads:
+        head_lit.sort()
+    tail_litmask = []
+    for _ in range(m):
+        tail_vars = rng.sample(range(n), rng.randint(1, min(3, n)))
+        tail_litmask.append(sum(1 << (2 * v + rng.getrandbits(1)) for v in tail_vars))
+    return PrimeImplicantGraph(net, head_lit, tail_litmask)
+
+
 class TestArcMasks:
     # the tail checks of the graph constructor
     NET = BooleanNetwork.from_strings([("a", "a"), ("b", "b")])
@@ -261,6 +299,44 @@ class TestArcMasks:
         # literal (v, c) is bit 2*v + c: 0b11 holds (0, 0) and (0, 1)
         with pytest.raises(ValueError):
             PrimeImplicantGraph(self.NET, [3], [0b11])
+
+    # the masks against a reference built arc by arc
+    def test_masks_of_built_graphs(self, example_graph):
+        assert_masks_match(example_graph)
+        for net in [*corpus(200), *dense()]:
+            assert_masks_match(build_graph(net))
+
+    @pytest.mark.parametrize("n, m, sort_heads", [
+        (5, 77, True),  # m and 2n not multiples of 8
+        (130, 77, True),  # literal indices above 255, runs of one arc
+        (130, 301, False),  # heads in no order: a run per arc or two
+        (4, 300, True),  # five chunks, head runs cut at chunk ends
+    ])
+    def test_masks_of_random_graphs(self, n, m, sort_heads):
+        assert_masks_match(random_graph(n, m, seed=n + m, sort_heads=sort_heads))
+
+    def test_masks_of_one_arc_graph(self):
+        # b <- a: no arc touches the literal (a, 0)
+        g = PrimeImplicantGraph(self.NET, [3], [0b10])
+        assert g.heads_mask == [0, 0, 0, 1]
+        assert g.search_masks() == ([0, 1, 0, 0], [1, 1])
+        assert_masks_match(g)
+
+    def test_masks_of_wide_functions(self):
+        # 12 random functions of in-degree 12, about 69,000 arcs in chunks
+        # of about 2,900
+        rng = random.Random(12)
+        head_lit, tail_litmask, memo = [], [], {}
+        for i in range(12):
+            table = rng.getrandbits(1 << 12)
+            for c in (1, 0):
+                tails = _implicant_litmasks(tuple(range(12)), table, i, c, memo)
+                head_lit += [2 * i + c] * len(tails)
+                tail_litmask += tails
+        net = BooleanNetwork.from_strings([(f"v{i}", f"v{i}") for i in range(12)])
+        g = PrimeImplicantGraph(net, head_lit, tail_litmask)
+        assert g.m > 60_000
+        assert_masks_match(g)
 
 
 class TestGraphOnRunningExample:
