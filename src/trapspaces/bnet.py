@@ -7,7 +7,7 @@ from __future__ import annotations
 import re
 
 from . import expr as _expr
-from .errors import NetworkFormatError
+from .errors import ExpressionSyntaxError, NetworkFormatError, UnknownVariableError
 from .space import BooleanNetwork
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -17,17 +17,14 @@ HEADER = "targets, factors"
 def parse_network(text: str, support_cap: int = _expr.DEFAULT_SUPPORT_CAP) -> BooleanNetwork:
     """The network written in ``text``; ``support_cap`` becomes its
     ``BooleanNetwork.support_cap``."""
-    lines = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    lines = [(number, line) for number, raw in enumerate(text.splitlines(), 1)
+             if (line := raw.strip()) and line[0] != "#"]
     if not lines:
         raise NetworkFormatError("empty network file")
-    if re.sub(r"\s*,\s*", ", ", lines[0]).lower() != HEADER:
-        raise NetworkFormatError(f"expected header {HEADER!r}, found {lines[0]!r}")
+    if re.sub(r"\s*,\s*", ", ", lines[0][1]).lower() != HEADER:
+        raise NetworkFormatError(f"expected header {HEADER!r}, found {lines[0][1]!r}")
     pairs = []
-    for line in lines[1:]:
+    for _, line in lines[1:]:
         if "," not in line:
             raise NetworkFormatError(f"expected '<name>, <expression>': {line!r}")
         name, text_expr = line.split(",", 1)
@@ -39,14 +36,21 @@ def parse_network(text: str, support_cap: int = _expr.DEFAULT_SUPPORT_CAP) -> Bo
     index_of = {name: i for i, name in enumerate(names)}
     if len(index_of) != len(names):
         raise NetworkFormatError("duplicate variable names")
-    functions = tuple(
-        _expr.parse_expression(text_expr, index_of) for _, text_expr in pairs
-    )
-    return BooleanNetwork(names, functions, support_cap)
+    functions = []
+    try:
+        for _, text_expr in pairs:
+            functions.append(_expr.parse_expression(text_expr, index_of))
+    except (ExpressionSyntaxError, UnknownVariableError) as exc:
+        # the same error, naming where it is: the line and the variable
+        at = len(functions)
+        exc.args = (f"line {lines[at + 1][0]}, variable {pairs[at][0]!r}: {exc}",)
+        raise
+    return BooleanNetwork(names, tuple(functions), support_cap)
 
 
 def load_network(path: str, support_cap: int = _expr.DEFAULT_SUPPORT_CAP) -> BooleanNetwork:
-    with open(path, encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark, as some editors write one
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_network(handle.read(), support_cap)
 
 

@@ -28,7 +28,7 @@ from . import solver as _solver
 from .errors import (CapExceededError, SolverTimeoutError, SupportTooLargeError,
                      TrapSpacesError)
 from .primes import build_graph
-from .space import BooleanNetwork, Subspace
+from .space import BooleanNetwork, Subspace, pattern
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -226,27 +226,19 @@ def _cmd_steady(args) -> _Result:
     return _spaces(net, "steady", states[:args.limit], stop)
 
 
-def _enclosing_pattern(states: list[int], n: int) -> str:
-    """The text of the smallest subspace enclosing ``states``: the bits of
-    the first state, with ``-`` for every variable that varies among them."""
-    first = states[0]
-    varying = 0
-    for x in states:
-        varying |= x ^ first
-    text = format(first, f"0{n}b")
-    if not varying:
-        return text
-    return "".join("-" if free == "1" else bit
-                   for bit, free in zip(text, format(varying, f"0{n}b")))
-
-
 def _cmd_attractors(args) -> _Result:
     net = _load(args)
     attrs = _dynamics.attractors(_dynamics.build_stg(net, args.update, args.stg_cap))
     state_format = f"0{net.n}b"
+    full = (1 << net.n) - 1
     rows, doc = [], []
     for a in attrs:
-        enclosing = _enclosing_pattern(a, net.n)
+        # the smallest enclosing subspace fixes what no state changes
+        first = a[0]
+        varying = 0
+        for x in a:
+            varying |= x ^ first
+        enclosing = pattern(net.n, full ^ varying, first)
         states = [format(x, state_format) for x in a[:64]]
         doc.append({"size": len(a), "enclosing": enclosing, "states": states})
         more = f" ... ({len(a) - 64} more)" if len(a) > 64 else ""

@@ -16,15 +16,19 @@ from .primes import PrimeImplicantGraph
 
 def _atom_names(variables: tuple[str, ...]) -> list[str]:
     """Map variable names to ASP-safe atoms: lowercase, non-alphanumerics to
-    underscores, letter-initial, deduplicated by positional suffix."""
+    underscores, letter-initial, deduplicated by a positional suffix, which
+    counts up past the atoms already taken."""
     atoms = []
     seen: set[str] = set()
     for name in variables:
         atom = re.sub(r"[^a-z0-9_]", "_", name.lower())
         if not atom or not atom[0].isalpha():
             atom = "v" + atom
-        if atom in seen:
-            atom = f"{atom}_{len(atoms) + 1}"
+        suffix = len(atoms) + 1
+        base = atom
+        while atom in seen:
+            atom = f"{base}_{suffix}"
+            suffix += 1
         seen.add(atom)
         atoms.append(atom)
     return atoms

@@ -10,7 +10,6 @@ and are interchangeably handled as plain integers where speed matters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from . import expr as _expr
@@ -77,17 +76,7 @@ class Subspace:
         return Subspace(n, mask, vals)
 
     def __str__(self) -> str:
-        if self.is_state:
-            # every variable fixed: the common case when listing state graphs
-            return format(self.vals, f"0{self.n}b")
-        out = []
-        for i in range(self.n):
-            bit = 1 << (self.n - 1 - i)
-            if self.mask & bit:
-                out.append("1" if self.vals & bit else "0")
-            else:
-                out.append("-")
-        return "".join(out)
+        return pattern(self.n, self.mask, self.vals)
 
     def is_fixed(self, i: int) -> bool:
         return bool(self.mask & (1 << (self.n - 1 - i)))
@@ -129,19 +118,33 @@ def subspace_leq(p: Subspace, q: Subspace) -> bool:
     return (q.mask & ~p.mask) == 0 and (p.vals & q.mask) == q.vals
 
 
+def pattern(n: int, mask: int, vals: int) -> str:
+    """The text form of the subspace fixing ``mask`` at ``vals`` (whose free
+    bits are ignored): the one subspace renderer, for ``str`` and the CLI."""
+    if mask == (1 << n) - 1:
+        # every variable fixed: the common case when listing state graphs
+        return format(vals, f"0{n}b")
+    out = []
+    for i in range(n):
+        bit = 1 << (n - 1 - i)
+        if mask & bit:
+            out.append("1" if vals & bit else "0")
+        else:
+            out.append("-")
+    return "".join(out)
+
+
 def referenced_states(p: Subspace, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
-    """All states matching ``p`` as integers, ascending."""
+    """All states matching ``p`` as integers, ascending: ``p.vals`` OR each
+    subset of the free bits, walked upwards by ``sub = (sub - free) & free``."""
     if p.n > cap:
         raise CapExceededError(p.n, cap)
-    free_bits = [1 << (p.n - 1 - i) for i in p.free_vars()]
-    states = []
-    for combo in product((0, 1), repeat=len(free_bits)):
-        x = p.vals
-        for bit, on in zip(free_bits, combo):
-            if on:
-                x |= bit
-        states.append(x)
-    states.sort()
+    free = ((1 << p.n) - 1) ^ p.mask
+    states = [p.vals]
+    sub = 0
+    while sub != free:
+        sub = (sub - free) & free
+        states.append(p.vals | sub)
     return states
 
 
@@ -167,7 +170,7 @@ class BooleanNetwork:
     Each function's sorted syntactic support is computed once, when the
     network is built, and its truth table once, on first use (``tables``).
     ``support_cap`` bounds the syntactic supports for every layer: the
-    tables here (``eval_function``, ``restricted_constant``, ``primes``)
+    tables here (``image_int``, ``restricted_constant``, ``primes``)
     and the state-space layer in ``dynamics``, whose tables span all
     variables (``check_supports``).
     """
@@ -220,46 +223,35 @@ class BooleanNetwork:
             ])
         return self._tables
 
-    def eval_function(self, i: int, x: int) -> int:
-        """Value of the i-th update function at integer state ``x``."""
-        support, table = (self._tables or self.tables())[i]
-        row = 0
-        for v in support:
-            row = (row << 1) | ((x >> (self.n - 1 - v)) & 1)
-        return (table >> row) & 1
-
     def image_int(self, x: int) -> int:
-        """Integer-state fast path of image_state."""
+        """Integer-state fast path of image_state: one table row per function."""
+        n = self.n
         y = 0
-        for i in range(self.n):
-            if self.eval_function(i, x):
-                y |= 1 << (self.n - 1 - i)
+        for i, (support, table) in enumerate(self._tables or self.tables()):
+            row = 0
+            for v in support:
+                row = (row << 1) | ((x >> (n - 1 - v)) & 1)
+            if (table >> row) & 1:
+                y |= 1 << (n - 1 - i)
         return y
 
     def restricted_constant(self, i: int, p: Subspace) -> Optional[int]:
-        """Constant value of the i-th function restricted to ``p``, if any."""
+        """Constant value of the i-th function restricted to ``p``, if any: its
+        table rows inside ``p`` are the AND of the columns (``expr._column``)
+        of the variables ``p`` fixes, complemented where fixed at 0."""
         support, table = (self._tables or self.tables())[i]
         k = len(support)
-        if k == 0:
-            return table & 1
-        base = 0
-        free_rows = []
+        rows = (1 << (1 << k)) - 1
+        last = self.n - 1
         for j, v in enumerate(support):
-            bit = 1 << (k - 1 - j)
-            if p.is_fixed(v):
-                if p.value(v):
-                    base |= bit
-            else:
-                free_rows.append(bit)
-        first = (table >> base) & 1
-        for combo in range(1, 1 << len(free_rows)):
-            row = base
-            for idx, bit in enumerate(free_rows):
-                if combo & (1 << idx):
-                    row |= bit
-            if ((table >> row) & 1) != first:
-                return None
-        return first
+            bit = 1 << (last - v)
+            if p.mask & bit:
+                column = _expr._column(k, k - 1 - j)
+                rows &= column if p.vals & bit else ~column
+        hit = table & rows
+        if hit == rows:
+            return 1
+        return 0 if hit == 0 else None
 
 
 def image_state(net: BooleanNetwork, x: Subspace) -> Subspace:
@@ -270,15 +262,8 @@ def image_state(net: BooleanNetwork, x: Subspace) -> Subspace:
 def image_subspace(net: BooleanNetwork, p: Subspace) -> Subspace:
     """The image F[p]: fixes v_i at c whenever the restricted function f_i[p]
     is the constant c."""
-    mask = vals = 0
-    for i in range(net.n):
-        c = net.restricted_constant(i, p)
-        if c is not None:
-            bit = 1 << (net.n - 1 - i)
-            mask |= bit
-            if c:
-                vals |= bit
-    return Subspace(net.n, mask, vals)
+    constants = ((i, net.restricted_constant(i, p)) for i in range(net.n))
+    return Subspace.from_items(net.n, [(i, c) for i, c in constants if c is not None])
 
 
 def is_trap_space(net: BooleanNetwork, p: Subspace) -> bool:

@@ -64,6 +64,19 @@ class TestParseNetwork:
         with pytest.raises(ExpressionSyntaxError):
             parse_network("targets, factors\na, a |\n")
 
+    def test_expression_errors_name_the_line_and_variable(self):
+        # line numbers count the file's lines, comments and blanks included
+        text = "# model\ntargets, factors\n\na, b\nb, a & (b\n"
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_network(text)
+        assert info.value.position == 6
+        assert str(info.value) == (
+            "line 5, variable 'b': expected ')', found '' (at position 6)")
+        with pytest.raises(UnknownVariableError) as info:
+            parse_network("targets, factors\na, a\nb, ghost | a\n")
+        assert info.value.name == "ghost"
+        assert str(info.value) == "line 3, variable 'b': unknown variable: 'ghost'"
+
 
 class TestWriteNetwork:
     def test_round_trip(self, example_net):
@@ -84,6 +97,11 @@ class TestWriteNetwork:
 class TestLoadNetwork:
     def test_load_from_file(self, example_file, example_net):
         assert load_network(example_file) == example_net
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, example_net):
+        path = tmp_path / "bom.bnet"
+        path.write_bytes(b"\xef\xbb\xbf" + EXAMPLE_TEXT.encode("utf-8"))
+        assert load_network(str(path)) == example_net
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -88,6 +88,21 @@ class TestAtomNames:
     def test_collision_gets_positional_suffix(self):
         assert _atom_names(("A-1", "a_1")) == ["a_1", "a_1_2"]
 
+    def test_suffix_skips_atoms_already_taken(self):
+        # X lowers to x, and its first suffix x_3 is the atom of x_3
+        assert _atom_names(("x_3", "x", "X")) == ["x_3", "x", "x_4"]
+        assert _atom_names(("x_4", "x_5", "x", "X")) == ["x_4", "x_5", "x", "x_6"]
+        net = parse_network("targets, factors\nx_3, x_3\nx, x\nX, X\n")
+        g = build_graph(net)
+        for mode in ("min", "max"):
+            lines = emit_ilp(g, mode).splitlines()
+            rows = [ln.split(":")[0] for ln in lines if ln.startswith(" ") and ":" in ln]
+            assert len(rows) == len(set(rows))
+            binaries = lines[lines.index("Binary") + 1].split()
+            assert len(binaries) == len(set(binaries))
+            mapping = [ln for ln in emit_asp(g, mode).splitlines() if ln.startswith("%   ")]
+            assert mapping == ["%   x_3 = x_3", "%   x = x", "%   x_4 = X"]
+
     def test_renamed_atoms_used_throughout(self):
         net = parse_network("targets, factors\nNF_kB, NF_kB\n")
         text = emit_asp(build_graph(net), "max")

@@ -3,24 +3,56 @@ from itertools import product
 
 import pytest
 
+from trapspaces import expr
 from trapspaces.errors import CapExceededError, TrapSpacesError
 from trapspaces.space import (
+    BooleanNetwork,
     Subspace,
     image_state,
     image_subspace,
     is_trap_space,
+    pattern,
     referenced_states,
     smallest_enclosing_subspace,
     subspace_leq,
 )
 
+from conftest import corpus
+
 S = Subspace.from_str
+
+
+def all_subspaces(n):
+    """The 3^n subspaces over n variables."""
+    return [S("".join(choices)) for choices in product("01-", repeat=n)]
+
+
+def reference_states(p):
+    """The states of ``p``, ascending, by one ``product`` over the free
+    variables and a sort."""
+    free = [1 << (p.n - 1 - i) for i in p.free_vars()]
+    return sorted(p.vals | sum(b for b, on in zip(free, ons) if on)
+                  for ons in product((0, 1), repeat=len(free)))
+
+
+def small_corpus_networks():
+    return [net for net in corpus(200) if net.n <= 5]
 
 
 class TestSubspaceBasics:
     def test_text_round_trip(self):
         for text in ("1-01", "----", "0000", "1111", "-0-1"):
             assert str(S(text)) == text
+
+    def test_text_round_trip_every_subspace(self):
+        for n in range(1, 6):
+            for p in all_subspaces(n):
+                assert Subspace.from_str(str(p)) == p
+
+    def test_pattern_ignores_value_bits_of_free_variables(self):
+        assert pattern(4, 0b1010, 0b1111) == "1-1-"
+        assert pattern(4, 0b0000, 0b0110) == "----"
+        assert pattern(4, 0b1111, 0b0110) == "0110"
 
     def test_canonical_form_rejects_value_on_free_bit(self):
         with pytest.raises(ValueError):
@@ -85,6 +117,11 @@ class TestReferencedStates:
         with pytest.raises(CapExceededError):
             referenced_states(Subspace.whole(30), cap=24)
 
+    def test_matches_product_reference_in_order(self):
+        for n in range(1, 7):
+            for p in all_subspaces(n):
+                assert referenced_states(p) == reference_states(p), str(p)
+
 
 class TestEnclosingSubspace:
     def test_examples(self):
@@ -143,6 +180,56 @@ class TestNetworkImages:
         # f1 = v1 | v2 under 00-- is the constant 0
         assert example_net.restricted_constant(0, S("00--")) == 0
         assert example_net.restricted_constant(3, S("--0-")) == 1
+
+    def test_restrictions_match_evaluation_on_every_subspace(self):
+        # n <= 5 networks of corpus(200), all 3^n subspaces each: f_i[p] is
+        # the common value of f_i over the states of p, or None
+        nets = small_corpus_networks()
+        assert len(nets) > 50
+        for net in nets:
+            n = net.n
+            values = [[expr.evaluate(f, Subspace.from_state(n, x)) for x in range(1 << n)]
+                      for f in net.functions]
+            for p in all_subspaces(n):
+                states = reference_states(p)
+                expected = []
+                for column in values:
+                    seen = {column[x] for x in states}
+                    expected.append(seen.pop() if len(seen) == 1 else None)
+                got = [net.restricted_constant(i, p) for i in range(n)]
+                assert got == expected, (str(p), net)
+                image = Subspace.from_items(
+                    n, [(i, c) for i, c in enumerate(expected) if c is not None])
+                assert image_subspace(net, p) == image
+                assert is_trap_space(net, p) == all(
+                    expected[i] == p.value(i) for i in p.fixed_vars())
+
+    def test_image_int_matches_evaluation(self):
+        for net in small_corpus_networks():
+            n = net.n
+            for x in range(1 << n):
+                state = Subspace.from_state(n, x)
+                bits = [expr.evaluate(f, state) for f in net.functions]
+                assert net.image_int(x) == Subspace.from_items(n, enumerate(bits)).vals
+
+    def test_restricted_constant_of_a_sixteen_input_function(self):
+        # v0 = v0 | g(v1..v15): constant 1 wherever v0 is fixed at 1, and
+        # varying where v0 is fixed at 0 and g is not yet decided
+        names = [f"v{i}" for i in range(16)]
+        g = " | ".join(f"(v{i} & !v{i + 1} & v{i + 2})" for i in range(1, 14))
+        net = BooleanNetwork.from_strings(
+            [("v0", "v0 | " + g)] + [(name, name) for name in names[1:]])
+        assert net.supports[0] == tuple(range(16))
+        assert net.restricted_constant(0, S("1" + "-" * 15)) == 1
+        assert net.restricted_constant(0, S("1" + "01" * 7 + "0")) == 1
+        assert net.restricted_constant(0, S("0" + "-" * 15)) is None
+        assert net.restricted_constant(0, S("-" * 16)) is None
+        # v1..v3 at 1,0,1 decide g: constant 1 with v0 free
+        assert net.restricted_constant(0, S("-101" + "-" * 12)) == 1
+        # every g-term killed by v(i+1) = 1 for all i: constant 0 at v0 = 0
+        assert net.restricted_constant(0, S("0" + "1" * 15)) == 0
+        assert is_trap_space(net, S("1" + "-" * 15))
+        assert not is_trap_space(net, S("0" + "-" * 15))
 
 
 class TestNetworkValidation:
