@@ -20,14 +20,10 @@ from .dynamics import (
     attractors,
     brute_force_trap_spaces,
     build_stg,
-    is_trap_set,
 )
 from .encode import emit_asp, emit_ilp
 from .expr import (
     Expression,
-    constant_value,
-    essential_support,
-    evaluate,
     format_expression,
     parse_expression,
     restrict,
@@ -48,10 +44,8 @@ from .solver import (
 from .space import (
     BooleanNetwork,
     Subspace,
-    image_state,
     image_subspace,
     is_trap_space,
-    referenced_states,
     smallest_enclosing_subspace,
     subspace_leq,
 )

@@ -9,7 +9,7 @@ from typing import Optional
 from . import dynamics as _dynamics
 from . import expr as _expr
 from . import solver as _solver
-from .errors import NotATrapSpaceError
+from .errors import CapExceededError, NotATrapSpaceError
 from .primes import build_graph
 from .space import (
     BooleanNetwork,
@@ -124,17 +124,21 @@ def commitment_table(
     steady_counts = [
         sum(1 for x in steady if subspace_leq(x, p)) for p in spaces
     ]
-    graphs = _dynamics.transition_graphs(net, stg_cap)
     sync_counts, async_counts = (
-        _cyclic_containment_counts(net, graphs[rule], spaces) if rule in graphs else None
-        for rule in ("sync", "async")
+        _cyclic_containment_counts(net, rule, stg_cap, spaces) for rule in ("sync", "async")
     )
     return CommitmentTable(spaces, steady_counts, sync_counts, async_counts, complete)
 
 
 def _cyclic_containment_counts(
-    net: BooleanNetwork, stg: _dynamics.StateTransitionGraph, spaces: list[Subspace]
-) -> list[int]:
+    net: BooleanNetwork, rule: str, stg_cap: Optional[int], spaces: list[Subspace]
+) -> Optional[list[int]]:
+    """Per space, the cyclic attractors of the ``rule`` transition graph
+    inside it; None when the network exceeds the graph's cap."""
+    try:
+        stg = _dynamics.build_stg(net, rule, stg_cap)
+    except CapExceededError:
+        return None
     cyclic = [
         smallest_enclosing_subspace(attr, net.n)
         for attr in _dynamics.attractors(stg)

@@ -52,7 +52,9 @@ def _parser() -> _Parser:
     parser = _Parser(prog="trapspaces", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--timeout", type=float, default=_solver.DEFAULT_TIMEOUT,
-                        metavar="S", help="solver wall-clock budget in seconds")
+                        metavar="S", help="wall-clock budget in seconds of each solver "
+                        "search (check runs three, commitment two); parsing, prime "
+                        "enumeration and the exhaustive oracle are not timed")
     parser.add_argument("--limit", type=int, default=_solver.DEFAULT_LIMIT,
                         metavar="COUNT", help="maximum number of solutions")
     parser.add_argument("--support-cap", type=int, default=_expr.DEFAULT_SUPPORT_CAP,

@@ -48,42 +48,25 @@ class StateTransitionGraph:
 
 
 def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> StateTransitionGraph:
-    """Explicit transition graph under the synchronous or asynchronous rule.
+    """Explicit transition graph under the synchronous or asynchronous rule;
+    ``cap`` defaults to the rule's own (``DEFAULT_SYNC_CAP`` or
+    ``DEFAULT_ASYNC_CAP``).
 
     Asynchronous: x -> y iff x is steady and y = x, or y differs from x in a
     single variable whose flip moves x toward F(x).
     """
     if rule not in ("sync", "async"):
         raise TrapSpacesError(f"unknown update rule {rule!r}")
-    cap = _rule_cap(rule, cap)
+    if cap is None:
+        cap = DEFAULT_SYNC_CAP if rule == "sync" else DEFAULT_ASYNC_CAP
     if net.n > cap:
         raise CapExceededError(net.n, cap, what=f"{rule} transition graph")
-    return _graph(rule, net.n, _columns(net)[1])
-
-
-def transition_graphs(net: BooleanNetwork,
-                      cap: Optional[int] = None) -> dict[str, StateTransitionGraph]:
-    """The sync and async transition graphs whose caps (as in ``build_stg``)
-    admit the network, keyed by rule, both read off one tabulation of its
-    functions; a rule whose cap the network exceeds is left out."""
-    rules = [rule for rule in ("sync", "async") if net.n <= _rule_cap(rule, cap)]
-    fn_columns = _columns(net)[1] if rules else []
-    return {rule: _graph(rule, net.n, fn_columns) for rule in rules}
-
-
-def _rule_cap(rule: str, cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    return DEFAULT_SYNC_CAP if rule == "sync" else DEFAULT_ASYNC_CAP
-
-
-def _graph(rule: str, n: int, fn_columns: list[int]) -> StateTransitionGraph:
-    images = _images(fn_columns, n)
+    images = _images(_columns(net)[1], net.n)
     if rule == "sync":
         successors = tuple((fx,) for fx in images)
     else:
         successors = tuple(_flips(x, fx ^ x) for x, fx in enumerate(images))
-    return StateTransitionGraph(rule, n, successors)
+    return StateTransitionGraph(rule, net.n, successors)
 
 
 def _columns(net: BooleanNetwork) -> tuple[list[int], list[int]]:
@@ -199,13 +182,6 @@ def attractors(stg: StateTransitionGraph) -> list[list[int]]:
     out = [sorted(comp) for comp in _terminal_sccs(stg.successors)]
     out.sort(key=lambda c: c[0])
     return out
-
-
-def is_trap_set(stg: StateTransitionGraph, states: set[int]) -> bool:
-    """True iff no transition leaves the given non-empty state set."""
-    if not states:
-        raise TrapSpacesError("the empty set is not a trap set")
-    return all(y in states for x in states for y in stg.successors[x])
 
 
 def brute_force_trap_spaces(

@@ -1,5 +1,5 @@
-"""Boolean expression ASTs: parsing, evaluation, bit-parallel truth tables,
-restriction and support analysis.
+"""Boolean expression ASTs: parsing, formatting, bit-parallel truth tables,
+restriction and syntactic support.
 
 Concrete syntax: identifiers ``[A-Za-z_][A-Za-z0-9_]*``, negation ``!``,
 conjunction ``&``, disjunction ``|``, constants ``0``/``1`` and parentheses.
@@ -224,27 +224,6 @@ def format_expression(f: Expression, vocabulary: Sequence[str]) -> str:
     raise TypeError(f"not an expression node: {f!r}")
 
 
-def evaluate(f: Expression, x) -> int:
-    """Evaluate ``f`` at a state; ``x`` must fix every referenced variable."""
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Var):
-        return x.value(f.index)
-    if isinstance(f, Not):
-        return 1 - evaluate(f.child, x)
-    if isinstance(f, And):
-        for child in f.children:
-            if evaluate(child, x) == 0:
-                return 0
-        return 1
-    if isinstance(f, Or):
-        for child in f.children:
-            if evaluate(child, x) == 1:
-                return 1
-        return 0
-    raise TypeError(f"not an expression node: {f!r}")
-
-
 def restrict(f: Expression, p) -> Expression:
     """Substitute the fixed values of subspace ``p`` and fold constants locally.
 
@@ -376,44 +355,6 @@ def truth_table(f: Expression, support: Sequence[int], cap: int = DEFAULT_SUPPOR
         raise SupportTooLargeError(k, cap)
     columns = {v: _column(k, k - 1 - j) for j, v in enumerate(support)}
     return _tabulate(f, columns, (1 << (1 << k)) - 1)
-
-
-def tabulate(f: Expression, cap: int = DEFAULT_SUPPORT_CAP) -> tuple[tuple[int, ...], int]:
-    """The sorted syntactic support of ``f`` and the truth table over it.
-
-    The cap applies to the syntactic support, fictitious variables included.
-    """
-    support = tuple(sorted(syntactic_support(f)))
-    return support, truth_table(f, support, cap)
-
-
-def constant_value(f: Expression, cap: int = DEFAULT_SUPPORT_CAP) -> Optional[int]:
-    """Return c if ``f`` equals c on every assignment of its syntactic support.
-
-    Decided semantically from the truth table, so algebraically hidden
-    constants (e.g. ``v & !v``) are detected.
-    """
-    support, table = tabulate(f, cap)
-    if table == 0:
-        return 0
-    if table == (1 << (1 << len(support))) - 1:
-        return 1
-    return None
-
-
-def essential_support(f: Expression, cap: int = DEFAULT_SUPPORT_CAP) -> set[int]:
-    """Variables whose value can change ``f``: some pair of states differing
-    only in that variable yields different values."""
-    support, table = tabulate(f, cap)
-    k = len(support)
-    essential: set[int] = set()
-    for j, v in enumerate(support):
-        pos = k - 1 - j
-        column = _column(k, pos)
-        # compare the rows with the variable at 1 against those with it at 0
-        if (table & column) >> (1 << pos) != table & ~column:
-            essential.add(v)
-    return essential
 
 
 def remap_variables(f: Expression, mapping: dict[int, int]) -> Expression:

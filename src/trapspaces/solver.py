@@ -102,22 +102,19 @@ class _Infeasible(Exception):
     pass
 
 
-def _first_providers(g: PrimeImplicantGraph, lits: int) -> int:
-    """For each literal of ``lits``, its smallest-id arc whose tail lies in
-    ``lits``."""
+def _first_providers(g: PrimeImplicantGraph, lits: int, alive: int) -> int:
+    """For each literal of the leaf's space ``lits``, its smallest-id arc
+    whose tail lies in ``lits``: the lowest one of its providers in the
+    leaf's ``alive``, which holds exactly the arcs with head and tail in
+    the space."""
     chosen = 0
     rest = lits
     while rest:
         low = rest & -rest
-        prov = g.heads_mask[low.bit_length() - 1]
-        while prov:
-            a = prov & -prov
-            if not (g.tail_litmask[a.bit_length() - 1] & ~lits):
-                chosen |= a
-                break
-            prov ^= a
-        else:
+        prov = alive & g.heads_mask[low.bit_length() - 1]
+        if not prov:
             raise TrapSpacesError("a literal of the space has no provider in it")
+        chosen |= prov & -prov
         rest ^= low
     return chosen
 
@@ -356,7 +353,7 @@ def enumerate_extremal(
                 break
             lits, alive = leaf
             search.nogoods.append(lits)
-            ids = g.ids(alive if mode == "max" else _first_providers(g, lits))
+            ids = g.ids(alive if mode == "max" else _first_providers(g, lits, alive))
             if not (is_consistent(g, ids) and is_stable(g, ids)):
                 raise TrapSpacesError("search produced an invalid arc set")
             solutions.append(ArcSetSolution(ids, induced_subspace(g, ids)))

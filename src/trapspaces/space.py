@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import expr as _expr
-from .errors import CapExceededError, SupportTooLargeError, TrapSpacesError
-
-DEFAULT_ENUM_CAP = 24
+from .errors import SupportTooLargeError, TrapSpacesError
 
 
 @dataclass(frozen=True)
@@ -98,17 +96,8 @@ class Subspace:
     def is_state(self) -> bool:
         return self.mask == (1 << self.n) - 1
 
-    @property
-    def state_int(self) -> int:
-        if not self.is_state:
-            raise TrapSpacesError("subspace has free variables, not a state")
-        return self.vals
-
     def items(self) -> list[tuple[int, int]]:
         return [(i, self.value(i)) for i in self.fixed_vars()]
-
-    def contains_state(self, x: int) -> bool:
-        return (x & self.mask) == self.vals
 
 
 def subspace_leq(p: Subspace, q: Subspace) -> bool:
@@ -132,20 +121,6 @@ def pattern(n: int, mask: int, vals: int) -> str:
         else:
             out.append("-")
     return "".join(out)
-
-
-def referenced_states(p: Subspace, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
-    """All states matching ``p`` as integers, ascending: ``p.vals`` OR each
-    subset of the free bits, walked upwards by ``sub = (sub - free) & free``."""
-    if p.n > cap:
-        raise CapExceededError(p.n, cap)
-    free = ((1 << p.n) - 1) ^ p.mask
-    states = [p.vals]
-    sub = 0
-    while sub != free:
-        sub = (sub - free) & free
-        states.append(p.vals | sub)
-    return states
 
 
 def smallest_enclosing_subspace(states: Iterable[int], n: int) -> Subspace:
@@ -224,7 +199,8 @@ class BooleanNetwork:
         return self._tables
 
     def image_int(self, x: int) -> int:
-        """Integer-state fast path of image_state: one table row per function."""
+        """The image F(x) of the state ``x`` as an integer: one table row per
+        function, read off its truth table."""
         n = self.n
         y = 0
         for i, (support, table) in enumerate(self._tables or self.tables()):
@@ -252,11 +228,6 @@ class BooleanNetwork:
         if hit == rows:
             return 1
         return 0 if hit == 0 else None
-
-
-def image_state(net: BooleanNetwork, x: Subspace) -> Subspace:
-    """The image F(x) of a state."""
-    return Subspace.from_state(net.n, net.image_int(x.state_int))
 
 
 def image_subspace(net: BooleanNetwork, p: Subspace) -> Subspace:

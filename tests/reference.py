@@ -1,0 +1,102 @@
+"""Independent reference evaluators that the tests compare the package
+against: an AST evaluator, the states of a subspace, the image of a state,
+constancy and essential support of a function, and the trap-set test on an
+explicit transition graph. The package decides these questions from one
+truth table per function (``BooleanNetwork.tables``) and the oracle's
+columns; nothing under ``src/`` calls the functions here.
+"""
+
+from trapspaces.errors import TrapSpacesError
+from trapspaces.expr import And, Const, Not, Or, Var, _column, syntactic_support, truth_table
+from trapspaces.space import Subspace
+
+
+def evaluate(f, x) -> int:
+    """Evaluate ``f`` at a state; ``x`` must fix every referenced variable."""
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Var):
+        return x.value(f.index)
+    if isinstance(f, Not):
+        return 1 - evaluate(f.child, x)
+    if isinstance(f, And):
+        for child in f.children:
+            if evaluate(child, x) == 0:
+                return 0
+        return 1
+    if isinstance(f, Or):
+        for child in f.children:
+            if evaluate(child, x) == 1:
+                return 1
+        return 0
+    raise TypeError(f"not an expression node: {f!r}")
+
+
+def tabulate(f) -> tuple[tuple[int, ...], int]:
+    """The sorted syntactic support of ``f`` and the truth table over it."""
+    support = tuple(sorted(syntactic_support(f)))
+    return support, truth_table(f, support)
+
+
+def constant_value(f):
+    """Return c if ``f`` equals c on every assignment of its syntactic support.
+
+    Decided semantically from the truth table, so algebraically hidden
+    constants (e.g. ``v & !v``) are detected.
+    """
+    support, table = tabulate(f)
+    if table == 0:
+        return 0
+    if table == (1 << (1 << len(support))) - 1:
+        return 1
+    return None
+
+
+def essential_support(f) -> set[int]:
+    """Variables whose value can change ``f``: some pair of states differing
+    only in that variable yields different values."""
+    support, table = tabulate(f)
+    k = len(support)
+    essential: set[int] = set()
+    for j, v in enumerate(support):
+        pos = k - 1 - j
+        column = _column(k, pos)
+        # compare the rows with the variable at 1 against those with it at 0
+        if (table & column) >> (1 << pos) != table & ~column:
+            essential.add(v)
+    return essential
+
+
+def state_int(p: Subspace) -> int:
+    """The state integer of a subspace that fixes every variable."""
+    if not p.is_state:
+        raise TrapSpacesError("subspace has free variables, not a state")
+    return p.vals
+
+
+def contains_state(p: Subspace, x: int) -> bool:
+    return (x & p.mask) == p.vals
+
+
+def referenced_states(p: Subspace) -> list[int]:
+    """All states matching ``p`` as integers, ascending: ``p.vals`` OR each
+    subset of the free bits, walked upwards by ``sub = (sub - free) & free``."""
+    free = ((1 << p.n) - 1) ^ p.mask
+    states = [p.vals]
+    sub = 0
+    while sub != free:
+        sub = (sub - free) & free
+        states.append(p.vals | sub)
+    return states
+
+
+def image_state(net, x: Subspace) -> Subspace:
+    """The image F(x) of a state."""
+    return Subspace.from_state(net.n, net.image_int(state_int(x)))
+
+
+def is_trap_set(stg, states: set[int]) -> bool:
+    """True iff no transition leaves the given non-empty state set."""
+    if not states:
+        raise TrapSpacesError("the empty set is not a trap set")
+    return all(y in states for x in states for y in stg.successors[x])

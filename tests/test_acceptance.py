@@ -18,14 +18,10 @@ from trapspaces.dynamics import attractors, brute_force_trap_spaces, build_stg
 from trapspaces.encode import emit_asp, emit_ilp
 from trapspaces.expr import Var
 from trapspaces.solver import max_trap_spaces, min_trap_spaces, steady_states
-from trapspaces.space import (
-    Subspace,
-    image_state,
-    image_subspace,
-    referenced_states,
-)
+from trapspaces.space import Subspace, image_subspace
 
 from conftest import EXAMPLE_TEXT, corpus, fixture_path
+from reference import contains_state, image_state, referenced_states
 
 S = Subspace.from_str
 
@@ -116,7 +112,7 @@ def test_criterion_3_trap_sets_independent_of_update_rule():
                 p
                 for p in subspaces
                 if all(
-                    p.contains_state(y)
+                    contains_state(p, y)
                     for x in referenced_states(p)
                     for y in stg.successors[x]
                 )

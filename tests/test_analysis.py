@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspaces import expr, parse_network
+from trapspaces import parse_network
 from trapspaces.analysis import (
     attractor_trapspace_audit,
     commitment_table,
@@ -14,7 +14,7 @@ from trapspaces.errors import NotATrapSpaceError
 from trapspaces.expr import Const, Not, Var, format_expression
 from trapspaces.space import BooleanNetwork, Subspace, subspace_leq
 
-from conftest import EXAMPLE_TEXT, corpus, expressions
+from conftest import corpus, expressions
 
 S = Subspace.from_str
 
@@ -115,21 +115,6 @@ class TestCommitmentTable:
         assert table.steady_counts == [0, 1]
         assert table.sync_cyclic_counts == [1, 0]
         assert table.async_cyclic_counts == [1, 0]
-
-    def test_tabulates_the_variable_columns_once(self, monkeypatch):
-        # the sync and async graphs read one set of 2^n-bit columns
-        built = []
-
-        def counting_column(k, pos):
-            built.append((k, pos))
-            return column(k, pos)
-
-        column = expr._column
-        net = parse_network(EXAMPLE_TEXT)
-        net.tables()  # the per-function tables, over supports of 1-2 variables
-        monkeypatch.setattr(expr, "_column", counting_column)
-        commitment_table(net)
-        assert sorted(built) == [(4, pos) for pos in range(4)]
 
     def test_attractor_columns_omitted_beyond_cap(self, example_net):
         table = commitment_table(example_net, stg_cap=3)

@@ -22,21 +22,16 @@ PUBLIC_NAMES = [
     "build_graph",
     "build_stg",
     "commitment_table",
-    "constant_value",
     "cyclic_attractor_lower_bound",
     "emit_asp",
     "emit_ilp",
     "enumerate_extremal",
-    "essential_support",
-    "evaluate",
     "format_expression",
     "generate",
-    "image_state",
     "image_subspace",
     "induced_subspace",
     "is_consistent",
     "is_stable",
-    "is_trap_set",
     "is_trap_space",
     "load_network",
     "max_trap_spaces",
@@ -44,7 +39,6 @@ PUBLIC_NAMES = [
     "parse_expression",
     "parse_network",
     "reduce",
-    "referenced_states",
     "restrict",
     "smallest_enclosing_subspace",
     "steady_states",

@@ -11,10 +11,9 @@ from trapspaces.errors import SupportTooLargeError
 from trapspaces.expr import (
     DEFAULT_SUPPORT_CAP,
     _column,
-    constant_value,
-    evaluate,
     parse_expression,
-    tabulate,
+    syntactic_support,
+    truth_table,
 )
 from trapspaces.primes import (
     PrimeImplicantGraph,
@@ -23,9 +22,10 @@ from trapspaces.primes import (
     build_graph,
     literals,
 )
-from trapspaces.space import BooleanNetwork, Subspace, referenced_states, subspace_leq
+from trapspaces.space import BooleanNetwork, Subspace, subspace_leq
 
 from conftest import corpus, dense, expressions
+from reference import constant_value, evaluate, referenced_states
 
 VOCAB = ("v1", "v2", "v3", "v4")
 
@@ -33,8 +33,10 @@ VOCAB = ("v1", "v2", "v3", "v4")
 def prime_spaces(f, c, target, n, cap=DEFAULT_SUPPORT_CAP):
     """The c-prime implicants of f as subspaces over n variables, in tail
     order."""
+    support = tuple(sorted(syntactic_support(f)))
+    table = truth_table(f, support, cap)
     return [Subspace.from_items(n, literals(lits))
-            for lits in _implicant_litmasks(*tabulate(f, cap), target, c, {})]
+            for lits in _implicant_litmasks(support, table, target, c, {})]
 
 
 def primes_of(text, c, target=0, n=4, vocab=VOCAB):
@@ -100,8 +102,6 @@ class TestCPrimeImplicants:
         # soundness, primality and coverage for every non-constant function
         # of a corpus (constant functions use the self-loop convention,
         # pinned above)
-        from trapspaces.expr import constant_value
-
         for net in corpus(30, sizes=(3, 4, 5), seed0=400):
             for i, f in enumerate(net.functions):
                 if constant_value(f) is not None:

@@ -1,10 +1,11 @@
 import pytest
 
 from trapspaces import write_network
-from trapspaces.expr import Const, essential_support, syntactic_support
+from trapspaces.expr import Const, syntactic_support
 from trapspaces.randgen import GeneratorConfig, generate
 
 from conftest import fixture_path
+from reference import essential_support
 
 
 class TestConfigValidation:
