@@ -339,6 +339,10 @@ def _cmd_check(args) -> _Result:
 def _cmd_random(args) -> _Result:
     cfg = _randgen.GeneratorConfig(n=args.n, k=args.k, seed=args.seed,
                                    degree_cap=args.degree_cap)
+    # each function's table has 2^degree rows: refuse before generating any
+    degree = min(cfg.degree_cap, cfg.n)
+    if degree > args.support_cap:
+        raise SupportTooLargeError(degree, args.support_cap)
     return _Result(_bnet.write_network(_randgen.generate(cfg)))
 
 

@@ -4,10 +4,14 @@ restriction and syntactic support.
 Concrete syntax: identifiers ``[A-Za-z_][A-Za-z0-9_]*``, negation ``!``,
 conjunction ``&``, disjunction ``|``, constants ``0``/``1`` and parentheses.
 Precedence is ``!`` > ``&`` > ``|``; both binary operators are n-ary in the AST.
-All nodes are immutable and safe to share between workers. The parser
-builds each literal once per expression: every occurrence of ``v`` is one
-``Var`` node and every ``!v`` one ``Not`` node, which the AST walkers meet
-once per occurrence.
+All nodes are immutable and safe to share between workers. Every producer
+of ASTs builds each literal once per expression: in what the parser, the
+random generator (``randgen``) and ``remap_variables`` return, every
+occurrence of ``v`` is one ``Var`` node and every ``!v`` one ``Not`` node,
+and the constants are the two shared nodes ``FALSE`` and ``TRUE``. The
+walkers (``format_expression``, ``syntactic_support`` and the truth-table
+pass) read the ``Var`` and ``Not(Var)`` children of an ``And`` or ``Or``
+inline, so no literal costs them a call or a stack entry.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ class Const(Expression):
     def __post_init__(self):
         if self.value not in (0, 1):
             raise ValueError("constant must be 0 or 1")
+
+
+FALSE = Const(0)
+TRUE = Const(1)
+_CONSTANTS = (FALSE, TRUE)
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ def parse_expression(text: str, vocabulary: Sequence[str] | Mapping[str, int]) -
                 else {name: i for i, name in enumerate(vocabulary)})
     tokens = _TOKEN_RE.findall(text)
     # operand token -> its node; "!" + operand token -> the shared negation
-    nodes = {"0": Const(0), "1": Const(1)}
+    nodes = {"0": FALSE, "1": TRUE}
     stack: list[tuple[list, list, int]] = []
     terms: list = []
     factors: list = []
@@ -195,32 +204,32 @@ def _variable(text: str, tokens: list, rest: Iterator[str], name: str, nodes: di
 
 
 def format_expression(f: Expression, vocabulary: Sequence[str]) -> str:
-    """Render ``f`` in the concrete syntax; round-trips structurally."""
-    if isinstance(f, Const):
-        return str(f.value)
-    if isinstance(f, Var):
+    """Render ``f`` in the concrete syntax; round-trips structurally.
+
+    An ``And`` or ``Or`` writes its ``Var`` and ``Not(Var)`` children
+    inline; only its compound children take a call of their own."""
+    kind = type(f)
+    if kind is And or kind is Or:
+        parts = []
+        for child in f.children:
+            child_kind = type(child)
+            if child_kind is Var:
+                parts.append(vocabulary[child.index])
+            elif child_kind is Not and type(child.child) is Var:
+                parts.append("!" + vocabulary[child.child.index])
+            elif child_kind is Or or (child_kind is And and kind is And):
+                parts.append(f"({format_expression(child, vocabulary)})")
+            else:
+                parts.append(format_expression(child, vocabulary))
+        return (" & " if kind is And else " | ").join(parts)
+    if kind is Var:
         return vocabulary[f.index]
-    if isinstance(f, Not):
+    if kind is Not:
         inner = format_expression(f.child, vocabulary)
-        if isinstance(f.child, (And, Or)):
-            inner = f"({inner})"
-        return f"!{inner}"
-    if isinstance(f, And):
-        parts = []
-        for child in f.children:
-            text = format_expression(child, vocabulary)
-            if isinstance(child, (And, Or)):
-                text = f"({text})"
-            parts.append(text)
-        return " & ".join(parts)
-    if isinstance(f, Or):
-        parts = []
-        for child in f.children:
-            text = format_expression(child, vocabulary)
-            if isinstance(child, Or):
-                text = f"({text})"
-            parts.append(text)
-        return " | ".join(parts)
+        child_kind = type(f.child)
+        return f"!({inner})" if child_kind is And or child_kind is Or else "!" + inner
+    if kind is Const:
+        return str(f.value)
     raise TypeError(f"not an expression node: {f!r}")
 
 
@@ -229,30 +238,37 @@ def restrict(f: Expression, p) -> Expression:
 
     The result contains no fixed variable of ``p`` and agrees with ``f`` on
     every state of ``p``. No equivalence reasoning beyond constant folding.
+    A node none of whose children changed is returned as it is, so the
+    result keeps the shared literals of ``f``.
     """
     if isinstance(f, Const):
         return f
     if isinstance(f, Var):
         if p.is_fixed(f.index):
-            return Const(p.value(f.index))
+            return _CONSTANTS[p.value(f.index)]
         return f
     if isinstance(f, Not):
         child = restrict(f.child, p)
         if isinstance(child, Const):
-            return Const(1 - child.value)
-        return Not(child)
+            return _CONSTANTS[1 - child.value]
+        return f if child is f.child else Not(child)
     if isinstance(f, (And, Or)):
         absorbing = 0 if isinstance(f, And) else 1
         kept = []
+        changed = False
         for child in f.children:
             sub = restrict(child, p)
             if isinstance(sub, Const):
                 if sub.value == absorbing:
-                    return Const(absorbing)
+                    return _CONSTANTS[absorbing]
+                changed = True
                 continue
+            changed = changed or sub is not child
             kept.append(sub)
+        if not changed:
+            return f
         if not kept:
-            return Const(1 - absorbing)
+            return _CONSTANTS[1 - absorbing]
         if len(kept) == 1:
             return kept[0]
         return And(tuple(kept)) if isinstance(f, And) else Or(tuple(kept))
@@ -260,18 +276,26 @@ def restrict(f: Expression, p) -> Expression:
 
 
 def syntactic_support(f: Expression) -> set[int]:
-    """Indices of all variables occurring in ``f``."""
+    """Indices of all variables occurring in ``f``; the literal children of
+    an ``And`` or ``Or`` are read inline, only compound ones are stacked."""
     out: set[int] = set()
     stack = [f]
     while stack:
         g = stack.pop()
         kind = type(g)
-        if kind is Var:
+        if kind is And or kind is Or:
+            for child in g.children:
+                child_kind = type(child)
+                if child_kind is Var:
+                    out.add(child.index)
+                elif child_kind is Not and type(child.child) is Var:
+                    out.add(child.child.index)
+                else:
+                    stack.append(child)
+        elif kind is Var:
             out.add(g.index)
         elif kind is Not:
             stack.append(g.child)
-        elif kind is And or kind is Or:
-            stack.extend(g.children)
         elif kind is not Const:
             raise TypeError(f"not an expression node: {g!r}")
     return out
@@ -358,15 +382,34 @@ def truth_table(f: Expression, support: Sequence[int], cap: int = DEFAULT_SUPPOR
 
 
 def remap_variables(f: Expression, mapping: dict[int, int]) -> Expression:
-    """Rewrite every variable index through ``mapping`` (total on the support)."""
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Var):
-        return Var(mapping[f.index])
-    if isinstance(f, Not):
-        return Not(remap_variables(f.child, mapping))
-    if isinstance(f, And):
-        return And(tuple(remap_variables(c, mapping) for c in f.children))
-    if isinstance(f, Or):
-        return Or(tuple(remap_variables(c, mapping) for c in f.children))
-    raise TypeError(f"not an expression node: {f!r}")
+    """Rewrite every variable index through ``mapping`` (total on the support).
+
+    Like the parser, it builds one ``Var`` and one ``Not`` over it per
+    variable and shares them across the result."""
+    variables: dict[int, Var] = {}
+    negations: dict[int, Not] = {}
+
+    def variable(index: int) -> Var:
+        node = variables.get(index)
+        if node is None:
+            node = variables[index] = Var(mapping[index])
+        return node
+
+    def remap(g: Expression) -> Expression:
+        kind = type(g)
+        if kind is Var:
+            return variable(g.index)
+        if kind is Not:
+            if type(g.child) is not Var:
+                return Not(remap(g.child))
+            node = negations.get(g.child.index)
+            if node is None:
+                node = negations[g.child.index] = Not(variable(g.child.index))
+            return node
+        if kind is And or kind is Or:
+            return kind(tuple(map(remap, g.children)))
+        if kind is Const:
+            return g
+        raise TypeError(f"not an expression node: {g!r}")
+
+    return remap(f)

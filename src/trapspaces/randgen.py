@@ -6,6 +6,10 @@ uniformly, then fill a random truth table with independent fair bits. The
 stream comes from a single Mersenne Twister instance seeded once, and all
 sampling uses explicit algorithms on top of random()/getrandbits() so
 networks are reproducible across platforms for a given seed.
+
+Each function is the disjunctive normal form of its table, built like a
+parsed expression: one ``Var`` and one ``Not`` per regulator, shared by all
+of its terms, and the shared ``expr.FALSE``/``expr.TRUE`` for a constant.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress, product
 
 from . import expr as _expr
 from .space import BooleanNetwork
@@ -61,25 +66,20 @@ def _table_to_expression(regulators: list[int], table: int) -> _expr.Expression:
     """Disjunctive normal form over the true rows; Const for constant tables.
 
     Row bit j of a row index holds the value of regulators[j], counting the
-    first regulator as most significant (the truth_table convention).
+    first regulator as most significant (the truth_table convention). Each
+    regulator's ``Var`` and ``Not`` are built once and shared by every term.
     """
-    d = len(regulators)
-    rows = 1 << d
+    rows = 1 << len(regulators)
     if table == 0:
-        return _expr.Const(0)
+        return _expr.FALSE
     if table == (1 << rows) - 1:
-        return _expr.Const(1)
-    terms = []
-    for row in range(rows):
-        if not (table >> row) & 1:
-            continue
-        literals = []
-        for j, v in enumerate(regulators):
-            if (row >> (d - 1 - j)) & 1:
-                literals.append(_expr.Var(v))
-            else:
-                literals.append(_expr.Not(_expr.Var(v)))
-        terms.append(literals[0] if d == 1 else _expr.And(tuple(literals)))
+        return _expr.TRUE
+    literals = [(_expr.Not(var), var) for var in map(_expr.Var, regulators)]
+    # product() yields the rows in ascending order, first regulator varying slowest
+    terms = list(compress(product(*literals), ((table >> row) & 1 for row in range(rows))))
+    if len(regulators) == 1:
+        return terms[0][0]
+    terms = [_expr.And(term) for term in terms]
     return terms[0] if len(terms) == 1 else _expr.Or(tuple(terms))
 
 

@@ -81,5 +81,23 @@ def expressions(n):
     return st.recursive(leaves, extend, max_leaves=12)
 
 
+def literal_nodes(f):
+    """Variable index -> the distinct ``Var`` and ``Not(Var)`` node objects
+    (by identity) found anywhere in ``f``."""
+    nodes = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, expr.Var):
+            nodes.setdefault(g.index, {})[id(g)] = g
+        elif isinstance(g, expr.Not):
+            if isinstance(g.child, expr.Var):
+                nodes.setdefault(g.child.index, {})[id(g)] = g
+            stack.append(g.child)
+        elif isinstance(g, (expr.And, expr.Or)):
+            stack.extend(g.children)
+    return nodes
+
+
 def fixture_path(name):
     return os.path.join(os.path.dirname(__file__), "fixtures", name)

@@ -3,7 +3,9 @@ against: an AST evaluator, the states of a subspace, the image of a state,
 constancy and essential support of a function, and the trap-set test on an
 explicit transition graph. The package decides these questions from one
 truth table per function (``BooleanNetwork.tables``) and the oracle's
-columns; nothing under ``src/`` calls the functions here.
+columns; nothing under ``src/`` calls the functions here. Two plain
+recursive AST walks, a formatter and the variables a function mentions,
+check the package's walkers, which read literal children inline.
 """
 
 from trapspaces.errors import TrapSpacesError
@@ -30,6 +32,47 @@ def evaluate(f, x) -> int:
                 return 1
         return 0
     raise TypeError(f"not an expression node: {f!r}")
+
+
+def format_expression(f, vocabulary) -> str:
+    """Render ``f`` in the concrete syntax; round-trips structurally."""
+    if isinstance(f, Const):
+        return str(f.value)
+    if isinstance(f, Var):
+        return vocabulary[f.index]
+    if isinstance(f, Not):
+        inner = format_expression(f.child, vocabulary)
+        if isinstance(f.child, (And, Or)):
+            inner = f"({inner})"
+        return f"!{inner}"
+    if isinstance(f, And):
+        parts = []
+        for child in f.children:
+            text = format_expression(child, vocabulary)
+            if isinstance(child, (And, Or)):
+                text = f"({text})"
+            parts.append(text)
+        return " & ".join(parts)
+    if isinstance(f, Or):
+        parts = []
+        for child in f.children:
+            text = format_expression(child, vocabulary)
+            if isinstance(child, Or):
+                text = f"({text})"
+            parts.append(text)
+        return " | ".join(parts)
+    raise TypeError(f"not an expression node: {f!r}")
+
+
+def mentioned_variables(f) -> set[int]:
+    """The indices of the ``Var`` nodes of ``f``, one call per node."""
+    if isinstance(f, Const):
+        return set()
+    if isinstance(f, Var):
+        return {f.index}
+    if isinstance(f, Not):
+        return mentioned_variables(f.child)
+    return set().union(*map(mentioned_variables, f.children))
 
 
 def tabulate(f) -> tuple[tuple[int, ...], int]:

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from trapspaces import cli, parse_network, primes, write_network
+from trapspaces import cli, parse_network, primes, randgen, write_network
 from trapspaces.errors import SolverTimeoutError
+from trapspaces.randgen import GeneratorConfig, generate
 from trapspaces.space import Subspace
 
 from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, corpus, fixture_path
@@ -454,6 +455,27 @@ class TestRandom:
         code, out, _ = run(capsys, "random", "--n", "5", "-o", str(path))
         assert code == 0 and out == ""
         assert parse_network(path.read_text()).n == 5
+
+    def test_degree_cap_above_n_is_clamped_to_n(self, capsys):
+        code, out, err = run(capsys, "random", "--n", "10", "--degree-cap", "20")
+        assert code == 0 and err == ""
+        assert out == write_network(generate(GeneratorConfig(n=10, degree_cap=20)))
+
+    @pytest.mark.parametrize("argv", [
+        ("random", "--n", "30", "--k", "25", "--degree-cap", "25"),  # 2^25 rows per function
+        ("--support-cap", "4", "random", "--n", "10", "--degree-cap", "5"),
+    ])
+    def test_degree_above_support_cap_exits_3_before_generating(self, capsys, monkeypatch,
+                                                                tmp_path, argv):
+        def refuse(cfg):
+            raise AssertionError("generate called")
+
+        monkeypatch.setattr(randgen, "generate", refuse)
+        path = tmp_path / "net.bnet"
+        code, out, err = run(capsys, *argv, "-o", str(path))
+        assert code == 3 and out == ""
+        assert "resource limit" in err and "exceeds cap" in err
+        assert not path.exists()
 
 
 class TestBench:

@@ -12,8 +12,9 @@ from trapspaces.errors import (
 )
 from trapspaces.space import Subspace
 
-from conftest import dense, expressions
-from reference import constant_value, contains_state, essential_support, evaluate
+from conftest import dense, expressions, literal_nodes
+from reference import (constant_value, contains_state, essential_support, evaluate,
+                       format_expression, mentioned_variables)
 
 N = 5  # variables available to generated expressions
 
@@ -256,16 +257,76 @@ class TestEssentialSupport:
 
 class TestFormatting:
     def test_round_trip_examples(self):
+        # each text is the formatter's own rendering of its AST
         for text in ("v1 | v2", "v1 & v4", "!v1 & v4", "!v3",
-                     "(v1 | v2) & !(v3 & v4)", "0", "1"):
+                     "(v1 | v2) & !(v3 & v4)", "0", "1",
+                     "!(v1 | v2)", "(v1 & v2) & v3", "v1 & v2 | (v3 | v1)",
+                     "1 & !!v1", "!0 | v1 & !(!v2 | 0)"):
             f = parse(text)
-            assert parse(expr.format_expression(f, VOCAB)) == f
+            assert expr.format_expression(f, VOCAB) == text == format_expression(f, VOCAB)
 
     def test_round_trip_random(self):
         rng = random.Random(19)
         for _ in range(300):
             f = _random_expression(rng, 4)
             assert parse(expr.format_expression(f, VOCAB)) == f
+
+
+def nested_expressions(n):
+    """Random ASTs whose compound nodes mix literal children (``Var``,
+    ``Not(Var)``, ``Const``) with nested ones: ``Not`` of ``And``/``Or``,
+    ``Or`` inside ``And``, ``And`` inside ``And``, double negation."""
+    variables = st.builds(expr.Var, st.integers(0, n - 1))
+    leaves = st.one_of(variables, variables.map(expr.Not),
+                       st.sampled_from([expr.FALSE, expr.TRUE]))
+
+    def extend(inner):
+        children = st.lists(inner, min_size=2, max_size=4).map(tuple)
+        return st.one_of(
+            st.builds(expr.And, children),
+            st.builds(expr.Or, children),
+            st.builds(expr.Not, inner),
+            st.builds(lambda a: expr.Not(expr.Not(a)), inner),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+class TestWalkersAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(f=nested_expressions(N))
+    def test_format_and_support_match_the_recursive_walks(self, f):
+        vocab = tuple(f"x{i}" for i in range(N))
+        text = expr.format_expression(f, vocab)
+        assert text == format_expression(f, vocab)
+        assert parse(text, vocab) == f
+        assert expr.syntactic_support(f) == mentioned_variables(f)
+
+
+class TestSharedNodes:
+    def test_parser_uses_the_shared_constants(self):
+        assert parse("0") is expr.FALSE and parse("1") is expr.TRUE
+        assert parse("v1 & 1 | 0").children[1] is expr.FALSE
+
+    def test_restrict_returns_unchanged_nodes(self):
+        f = parse("!v1 & v2 | v3 & !v4 | !v1 & v3")
+        assert expr.restrict(f, Subspace.whole(4)) is f
+        g = expr.restrict(f, Subspace.from_str("--1-"))  # v3 = 1
+        assert g == parse("!v1 & v2 | !v4 | !v1")
+        assert g.children[0] is f.children[0]
+        assert g.children[1] is f.children[1].children[1]
+        assert g.children[2] is f.children[0].children[0]
+        assert expr.restrict(f, Subspace.from_str("0-1-")) is expr.TRUE
+
+    def test_remap_builds_each_literal_once(self):
+        f = expr.Or((expr.And((expr.Not(expr.Var(0)), expr.Var(1))),
+                     expr.And((expr.Var(0), expr.Not(expr.Var(1)))),
+                     expr.Not(expr.Not(expr.Var(1)))))
+        g = expr.remap_variables(f, {0: 3, 1: 0})
+        assert g == parse("!v4 & v1 | v4 & !v1 | !!v1")
+        nodes = literal_nodes(g)
+        assert sorted(nodes) == [0, 3]
+        assert all(len(objs) == 2 for objs in nodes.values())
 
 
 class TestTruthTable:

@@ -1,11 +1,11 @@
 import pytest
 
 from trapspaces import write_network
-from trapspaces.expr import Const, syntactic_support
+from trapspaces.expr import FALSE, TRUE, Const, syntactic_support
 from trapspaces.randgen import GeneratorConfig, generate
 
-from conftest import fixture_path
-from reference import essential_support
+from conftest import corpus, dense, fixture_path, literal_nodes
+from reference import essential_support, format_expression
 
 
 class TestConfigValidation:
@@ -76,3 +76,18 @@ class TestShape:
         for f in net.functions:
             # essential support never exceeds the sampled regulator set
             assert essential_support(f) <= syntactic_support(f)
+
+
+class TestSharedLiterals:
+    @pytest.mark.parametrize("networks", [lambda: corpus(200), dense], ids=["corpus", "dense"])
+    def test_one_var_and_one_not_per_regulator(self, networks):
+        for net in networks():
+            for f in net.functions:
+                for objs in literal_nodes(f).values():
+                    # at most one Var and one Not object per regulator
+                    assert len({type(g) for g in objs.values()}) == len(objs) <= 2
+                if isinstance(f, Const):
+                    assert f is (FALSE, TRUE)[f.value]
+            want = "".join(f"{name}, {format_expression(f, net.variables)}\n"
+                           for name, f in zip(net.variables, net.functions))
+            assert write_network(net) == "targets, factors\n" + want
