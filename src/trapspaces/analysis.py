@@ -54,10 +54,7 @@ def reduce(net: BooleanNetwork, p: Subspace, unchecked: bool = False) -> Reduced
         raise NotATrapSpaceError("cannot reduce away every variable")
     index_map = {v: j for j, v in enumerate(free)}
     names = tuple(net.variables[v] for v in free)
-    functions = tuple(
-        _expr.remap_variables(_expr.restrict(net.functions[v], p), index_map)
-        for v in free
-    )
+    functions = tuple(_expr.restrict(net.functions[v], p, index_map) for v in free)
     return ReducedNetwork(net, p, BooleanNetwork(names, functions, net.support_cap), index_map)
 
 
@@ -121,30 +118,31 @@ def commitment_table(
     steady = _solver.steady_states(net, limit + 1, timeout, graph=g)
     complete = report.stats["complete"] and len(steady) <= limit
     steady = steady[:limit]
-    steady_counts = [
-        sum(1 for x in steady if subspace_leq(x, p)) for p in spaces
-    ]
-    sync_counts, async_counts = (
-        _cyclic_containment_counts(net, rule, stg_cap, spaces) for rule in ("sync", "async")
-    )
-    return CommitmentTable(spaces, steady_counts, sync_counts, async_counts, complete)
+    steady_counts = [len(inside) for inside in _inside(steady, spaces)]
+    cyclic_counts = []
+    for rule in ("sync", "async"):
+        try:
+            attrs, enclosing = _attractors(net, rule, stg_cap)
+        except CapExceededError:
+            cyclic_counts.append(None)
+            continue
+        cyclic = [q for a, q in zip(attrs, enclosing) if len(a) > 1]
+        cyclic_counts.append([len(inside) for inside in _inside(cyclic, spaces)])
+    return CommitmentTable(spaces, steady_counts, *cyclic_counts, complete)
 
 
-def _cyclic_containment_counts(
-    net: BooleanNetwork, rule: str, stg_cap: Optional[int], spaces: list[Subspace]
-) -> Optional[list[int]]:
-    """Per space, the cyclic attractors of the ``rule`` transition graph
-    inside it; None when the network exceeds the graph's cap."""
-    try:
-        stg = _dynamics.build_stg(net, rule, stg_cap)
-    except CapExceededError:
-        return None
-    cyclic = [
-        smallest_enclosing_subspace(attr, net.n)
-        for attr in _dynamics.attractors(stg)
-        if len(attr) > 1
-    ]
-    return [sum(1 for pi_a in cyclic if subspace_leq(pi_a, p)) for p in spaces]
+def _attractors(
+    net: BooleanNetwork, rule: str, stg_cap: Optional[int]
+) -> tuple[list[list[int]], list[Subspace]]:
+    """The attractors of the ``rule`` transition graph, and the smallest
+    subspace enclosing each."""
+    attrs = _dynamics.attractors(_dynamics.build_stg(net, rule, stg_cap))
+    return attrs, [smallest_enclosing_subspace(a, net.n) for a in attrs]
+
+
+def _inside(items: list[Subspace], spaces: list[Subspace]) -> list[list[int]]:
+    """Per space, the indices of the items that lie inside it."""
+    return [[i for i, q in enumerate(items) if subspace_leq(q, p)] for p in spaces]
 
 
 @dataclass
@@ -173,19 +171,10 @@ def attractor_trapspace_audit(
     enclosing subspace is exactly the space; plus attractors outside all
     minimal trap spaces."""
     report = _solver.min_trap_spaces(net, limit, timeout)
-    stg = _dynamics.build_stg(net, rule, stg_cap)
-    attrs = _dynamics.attractors(stg)
-    enclosing = [smallest_enclosing_subspace(a, net.n) for a in attrs]
-    per_space = []
-    covered = [False] * len(attrs)
-    for p in report.spaces:
-        inside = [
-            i for i, pi_a in enumerate(enclosing) if subspace_leq(pi_a, p)
-        ]
-        for i in inside:
-            covered[i] = True
-        per_space.append(
-            SpaceAudit(p, len(inside), [enclosing[i] == p for i in inside])
-        )
-    outside = [attrs[i] for i in range(len(attrs)) if not covered[i]]
+    attrs, enclosing = _attractors(net, rule, stg_cap)
+    inside = _inside(enclosing, report.spaces)
+    per_space = [SpaceAudit(p, len(ins), [enclosing[i] == p for i in ins])
+                 for p, ins in zip(report.spaces, inside)]
+    covered = set().union(*inside)
+    outside = [a for i, a in enumerate(attrs) if i not in covered]
     return AttractorAudit(rule, per_space, outside, report.stats["complete"])

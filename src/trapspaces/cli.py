@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -114,14 +113,14 @@ def _parser() -> _Parser:
     return parser
 
 
+def _require(ok: bool, flag: str, expected: str, value) -> None:
+    """Refuse ``flag``'s ``value`` as a usage error unless ``ok``."""
+    if not ok:
+        raise _UsageError(f"argument {flag}: must be {expected}, got {value}")
+
+
 def _load(args) -> BooleanNetwork:
     return _bnet.load_network(args.file, args.support_cap)
-
-
-def _oracle(net: BooleanNetwork, args) -> list[Subspace]:
-    """Every trap space of ``net``, sorted by pattern, under ``--stg-cap``."""
-    cap = args.stg_cap if args.stg_cap is not None else _dynamics.DEFAULT_BRUTE_FORCE_CAP
-    return _dynamics.brute_force_trap_spaces(net, "all", cap)
 
 
 @dataclass
@@ -203,7 +202,7 @@ def _cmd_primes(args) -> _Result:
 def _cmd_trapspaces(args) -> _Result:
     net = _load(args)
     if args.mode == "all":
-        spaces = _oracle(net, args)
+        spaces = _dynamics.brute_force_trap_spaces(net, "all", args.stg_cap)
         return _spaces(net, "all", spaces[:args.limit], _cut(spaces, args.limit))
     g = build_graph(net)
     fn = _solver.min_trap_spaces if args.mode == "min" else _solver.max_trap_spaces
@@ -305,7 +304,7 @@ def _cmd_audit(args) -> _Result:
 
 def _cmd_check(args) -> _Result:
     net = _load(args)
-    oracle = _oracle(net, args)
+    oracle = _dynamics.brute_force_trap_spaces(net, "all", args.stg_cap)
     oracle_min = _dynamics.select_trap_spaces(oracle, "min")
     oracle_max = _dynamics.select_trap_spaces(oracle, "max")
     g = build_graph(net)
@@ -337,6 +336,10 @@ def _cmd_check(args) -> _Result:
 
 
 def _cmd_random(args) -> _Result:
+    _require(args.n >= 1, "--n", "at least 1", args.n)
+    _require(args.degree_cap >= 1, "--degree-cap", "at least 1", args.degree_cap)
+    # a NaN --k passes, and the generator refuses it, like inf, as an input error
+    _require(not args.k < 0, "--k", "non-negative", args.k)
     cfg = _randgen.GeneratorConfig(n=args.n, k=args.k, seed=args.seed,
                                    degree_cap=args.degree_cap)
     # each function's table has 2^degree rows: refuse before generating any
@@ -351,8 +354,10 @@ def _cmd_bench(args) -> _Result:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad --sizes value: {args.sizes!r}") from exc
-    if args.reps < 1:
-        raise _UsageError(f"argument --reps: must be at least 1, got {args.reps}")
+    for n in sizes:
+        _require(n >= 1, "--sizes", "at least 1 each", n)
+    _require(args.reps >= 1, "--reps", "at least 1", args.reps)
+    _require(not args.k < 0, "--k", "non-negative", args.k)
     rows = ["# in-degree sampled from Poisson(k) clamped to [1, min(degree-cap, n)]",
             "n,seed,primes,n_min,mean_fixed_min,ms_min,n_max,mean_fixed_max,ms_max"]
     runs = [n for n in sizes for _ in range(args.reps)]
@@ -395,15 +400,12 @@ _COMMANDS = {
 def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
-        if args.limit < 1:
-            raise _UsageError(f"argument --limit: must be at least 1, got {args.limit}")
-        # NaN compares false to every deadline, so it would remove the budget
-        if math.isnan(args.timeout) or args.timeout < 0:
-            raise _UsageError(f"argument --timeout: must be a non-negative number, "
-                              f"got {args.timeout}")
+        _require(args.limit >= 1, "--limit", "at least 1", args.limit)
+        # NaN compares false to every deadline, so it would remove the budget;
+        # it fails this test too
+        _require(args.timeout >= 0, "--timeout", "a non-negative number", args.timeout)
         for flag, cap in (("--support-cap", args.support_cap), ("--stg-cap", args.stg_cap)):
-            if cap is not None and cap < 0:
-                raise _UsageError(f"argument {flag}: must be non-negative, got {cap}")
+            _require(cap is None or cap >= 0, flag, "non-negative", cap)
         return _render(_COMMANDS[args.command](args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,8 +15,10 @@ once per network, never from the prime implicants or the solver the
 oracle checks; they take n * 2^n bits.
 
 Caps are configuration, not constants; exceeding one raises cleanly so the
-solver path stays usable at any network size. The support cap applies to
-each function's syntactic support, not to n.
+solver path stays usable at any network size. Each is resolved where it is
+checked: ``build_stg`` defaults to ``DEFAULT_STG_CAP`` for both update
+rules, and the oracle to ``DEFAULT_BRUTE_FORCE_CAP``. The support cap
+applies to each function's syntactic support, not to n.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from . import expr as _expr
 from .errors import CapExceededError, TrapSpacesError
 from .space import BooleanNetwork, Subspace
 
-DEFAULT_SYNC_CAP = 24
-DEFAULT_ASYNC_CAP = 20
+# the largest n of either transition graph, whose memory doubles per variable
+DEFAULT_STG_CAP = 20
 DEFAULT_BRUTE_FORCE_CAP = 12
 
 # states per block when reading the state graph off the columns
@@ -49,8 +51,7 @@ class StateTransitionGraph:
 
 def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> StateTransitionGraph:
     """Explicit transition graph under the synchronous or asynchronous rule;
-    ``cap`` defaults to the rule's own (``DEFAULT_SYNC_CAP`` or
-    ``DEFAULT_ASYNC_CAP``).
+    ``cap`` defaults to ``DEFAULT_STG_CAP``.
 
     Asynchronous: x -> y iff x is steady and y = x, or y differs from x in a
     single variable whose flip moves x toward F(x).
@@ -58,7 +59,7 @@ def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> Stat
     if rule not in ("sync", "async"):
         raise TrapSpacesError(f"unknown update rule {rule!r}")
     if cap is None:
-        cap = DEFAULT_SYNC_CAP if rule == "sync" else DEFAULT_ASYNC_CAP
+        cap = DEFAULT_STG_CAP
     if net.n > cap:
         raise CapExceededError(net.n, cap, what=f"{rule} transition graph")
     images = _images(_columns(net)[1], net.n)
@@ -187,9 +188,10 @@ def attractors(stg: StateTransitionGraph) -> list[list[int]]:
 def brute_force_trap_spaces(
     net: BooleanNetwork,
     mode: str = "all",
-    cap: int = DEFAULT_BRUTE_FORCE_CAP,
+    cap: Optional[int] = None,
 ) -> list[Subspace]:
-    """Oracle: test all 3^n subspaces against the definition p >= F[p].
+    """Oracle: test all 3^n subspaces against the definition p >= F[p];
+    ``cap`` defaults to ``DEFAULT_BRUTE_FORCE_CAP``.
 
     The leading n - L variables, L = min(n, ``_KERNEL_VARS``), are decided
     by a walk that leaves each free, fixes it to 0 or fixes it to 1, depth
@@ -210,6 +212,8 @@ def brute_force_trap_spaces(
     if mode not in ("all", "min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
     n = net.n
+    if cap is None:
+        cap = DEFAULT_BRUTE_FORCE_CAP
     if n > cap:
         raise CapExceededError(n, cap, what="subspace enumeration")
     var_columns, fn_columns = _columns(net)

@@ -1,12 +1,13 @@
 """Boolean expression ASTs: parsing, formatting, bit-parallel truth tables,
-restriction and syntactic support.
+restriction to a subspace (which renumbers the free variables in the same
+walk) and syntactic support.
 
 Concrete syntax: identifiers ``[A-Za-z_][A-Za-z0-9_]*``, negation ``!``,
 conjunction ``&``, disjunction ``|``, constants ``0``/``1`` and parentheses.
 Precedence is ``!`` > ``&`` > ``|``; both binary operators are n-ary in the AST.
 All nodes are immutable and safe to share between workers. Every producer
 of ASTs builds each literal once per expression: in what the parser, the
-random generator (``randgen``) and ``remap_variables`` return, every
+random generator (``randgen``) and ``restrict`` return, every
 occurrence of ``v`` is one ``Var`` node and every ``!v`` one ``Not`` node,
 and the constants are the two shared nodes ``FALSE`` and ``TRUE``. The
 walkers (``format_expression``, ``syntactic_support`` and the truth-table
@@ -233,46 +234,57 @@ def format_expression(f: Expression, vocabulary: Sequence[str]) -> str:
     raise TypeError(f"not an expression node: {f!r}")
 
 
-def restrict(f: Expression, p) -> Expression:
-    """Substitute the fixed values of subspace ``p`` and fold constants locally.
+def restrict(f: Expression, p, index_map: Mapping[int, int]) -> Expression:
+    """Substitute the fixed values of subspace ``p``, fold constants locally
+    and renumber every other variable through ``index_map``, in one walk.
 
     The result contains no fixed variable of ``p`` and agrees with ``f`` on
-    every state of ``p``. No equivalence reasoning beyond constant folding.
-    A node none of whose children changed is returned as it is, so the
-    result keeps the shared literals of ``f``.
+    every state of ``p``, each free variable ``v`` read as ``index_map[v]``.
+    No equivalence reasoning beyond constant folding. Like the parser, it
+    builds one ``Var`` and one ``Not`` over it per new index and shares them.
     """
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Var):
-        if p.is_fixed(f.index):
-            return _CONSTANTS[p.value(f.index)]
-        return f
-    if isinstance(f, Not):
-        child = restrict(f.child, p)
-        if isinstance(child, Const):
-            return _CONSTANTS[1 - child.value]
-        return f if child is f.child else Not(child)
-    if isinstance(f, (And, Or)):
-        absorbing = 0 if isinstance(f, And) else 1
-        kept = []
-        changed = False
-        for child in f.children:
-            sub = restrict(child, p)
-            if isinstance(sub, Const):
-                if sub.value == absorbing:
-                    return _CONSTANTS[absorbing]
-                changed = True
-                continue
-            changed = changed or sub is not child
-            kept.append(sub)
-        if not changed:
-            return f
-        if not kept:
-            return _CONSTANTS[1 - absorbing]
-        if len(kept) == 1:
-            return kept[0]
-        return And(tuple(kept)) if isinstance(f, And) else Or(tuple(kept))
-    raise TypeError(f"not an expression node: {f!r}")
+    variables: dict[int, Expression] = {}  # index in f -> its Var or constant
+    negations: dict[int, Not] = {}  # new index -> the Not over its Var
+
+    def walk(g: Expression) -> Expression:
+        kind = type(g)
+        if kind is Var:
+            node = variables.get(g.index)
+            if node is None:
+                node = variables[g.index] = (_CONSTANTS[p.value(g.index)]
+                                             if p.is_fixed(g.index)
+                                             else Var(index_map[g.index]))
+            return node
+        if kind is Not:
+            child = walk(g.child)
+            child_kind = type(child)
+            if child_kind is Const:
+                return _CONSTANTS[1 - child.value]
+            if child_kind is not Var:
+                return Not(child)
+            # a child that folded down to a variable shares its negation too
+            node = negations.get(child.index)
+            if node is None:
+                node = negations[child.index] = Not(child)
+            return node
+        if kind is And or kind is Or:
+            absorbing = 0 if kind is And else 1
+            kept = []
+            for child in g.children:
+                sub = walk(child)
+                if type(sub) is Const:
+                    if sub.value == absorbing:
+                        return _CONSTANTS[absorbing]
+                    continue
+                kept.append(sub)
+            if not kept:
+                return _CONSTANTS[1 - absorbing]
+            return kept[0] if len(kept) == 1 else kind(tuple(kept))
+        if kind is Const:
+            return g
+        raise TypeError(f"not an expression node: {g!r}")
+
+    return walk(f)
 
 
 def syntactic_support(f: Expression) -> set[int]:
@@ -379,37 +391,3 @@ def truth_table(f: Expression, support: Sequence[int], cap: int = DEFAULT_SUPPOR
         raise SupportTooLargeError(k, cap)
     columns = {v: _column(k, k - 1 - j) for j, v in enumerate(support)}
     return _tabulate(f, columns, (1 << (1 << k)) - 1)
-
-
-def remap_variables(f: Expression, mapping: dict[int, int]) -> Expression:
-    """Rewrite every variable index through ``mapping`` (total on the support).
-
-    Like the parser, it builds one ``Var`` and one ``Not`` over it per
-    variable and shares them across the result."""
-    variables: dict[int, Var] = {}
-    negations: dict[int, Not] = {}
-
-    def variable(index: int) -> Var:
-        node = variables.get(index)
-        if node is None:
-            node = variables[index] = Var(mapping[index])
-        return node
-
-    def remap(g: Expression) -> Expression:
-        kind = type(g)
-        if kind is Var:
-            return variable(g.index)
-        if kind is Not:
-            if type(g.child) is not Var:
-                return Not(remap(g.child))
-            node = negations.get(g.child.index)
-            if node is None:
-                node = negations[g.child.index] = Not(variable(g.child.index))
-            return node
-        if kind is And or kind is Or:
-            return kind(tuple(map(remap, g.children)))
-        if kind is Const:
-            return g
-        raise TypeError(f"not an expression node: {g!r}")
-
-    return remap(f)

@@ -111,7 +111,8 @@ def pattern(n: int, mask: int, vals: int) -> str:
     """The text form of the subspace fixing ``mask`` at ``vals`` (whose free
     bits are ignored): the one subspace renderer, for ``str`` and the CLI."""
     if mask == (1 << n) - 1:
-        # every variable fixed: the common case when listing state graphs
+        # every variable fixed: a state, such as a steady state or the
+        # enclosing subspace of a one-state attractor
         return format(vals, f"0{n}b")
     out = []
     for i in range(n):

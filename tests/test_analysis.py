@@ -116,6 +116,31 @@ class TestCommitmentTable:
         assert table.sync_cyclic_counts == [1, 0]
         assert table.async_cyclic_counts == [1, 0]
 
+    def test_columns_match_exhaustive_attractors(self):
+        nonzero = set()
+        for net in corpus(30, sizes=(4, 5, 6), seed0=1300):
+            table = commitment_table(net)
+            assert table.complete
+
+            def counts(items):
+                # per maximal trap space, the items with every state inside it
+                return [sum(all(x & p.mask == p.vals for x in a) for a in items)
+                        for p in table.spaces]
+
+            sync = attractors(build_stg(net, "sync"))
+            # a steady state is a one-state attractor of either graph
+            assert table.steady_counts == counts([a for a in sync if len(a) == 1])
+            for rule, got in (("sync", table.sync_cyclic_counts),
+                              ("async", table.async_cyclic_counts)):
+                attrs = sync if rule == "sync" else attractors(build_stg(net, rule))
+                want = counts([a for a in attrs if len(a) > 1])
+                assert got == want
+                nonzero.update(rule for count in want if count)
+            if any(table.steady_counts):
+                nonzero.add("steady")
+        # the corpus exercises every column with a non-zero count
+        assert nonzero == {"steady", "sync", "async"}
+
     def test_attractor_columns_omitted_beyond_cap(self, example_net):
         table = commitment_table(example_net, stg_cap=3)
         assert table.steady_counts == [0, 1]

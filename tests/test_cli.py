@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from trapspaces import cli, parse_network, primes, randgen, write_network
+from trapspaces import cli, dynamics, parse_network, primes, randgen, write_network
 from trapspaces.errors import SolverTimeoutError
 from trapspaces.randgen import GeneratorConfig, generate
 from trapspaces.space import Subspace
@@ -174,6 +174,23 @@ class TestAttractors:
         code, _, err = run(capsys, "--stg-cap", "3", "attractors", example_file)
         assert code == 3
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("rule", ["sync", "async"])
+    def test_default_cap_refuses_21_variables_before_building(self, capsys, monkeypatch,
+                                                              tmp_path, rule):
+        def refuse(net):
+            raise AssertionError("state graph built")
+
+        monkeypatch.setattr(dynamics, "_columns", refuse)
+        path = tmp_path / "net21.bnet"
+        path.write_text(write_network(generate(GeneratorConfig(n=21, seed=1))),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "attractors", "--update", rule, str(path))
+        assert code == 3 and out == ""
+        assert "resource limit" in err
+        # --stg-cap raises the cap: the build then starts (and is refused here)
+        with pytest.raises(AssertionError, match="state graph built"):
+            cli.run(["--stg-cap", "21", "attractors", "--update", rule, str(path)])
 
     def test_support_cap_reaches_the_state_graph(self, capsys, tmp_path):
         # 17 variables, and the first function reads all of them
@@ -476,6 +493,24 @@ class TestRandom:
         assert code == 3 and out == ""
         assert "resource limit" in err and "exceeds cap" in err
         assert not path.exists()
+
+
+class TestGeneratorValues:
+    @pytest.mark.parametrize("argv", [
+        ("random", "--n", "0"),
+        ("random", "--n", "4", "--k", "-1"),
+        ("random", "--n", "4", "--degree-cap", "0"),
+        ("bench", "--sizes", "3,-2"),
+        ("bench", "--sizes", "3", "--k", "-1"),
+    ])
+    def test_out_of_range_values_exit_1_before_generating(self, capsys, monkeypatch, argv):
+        def refuse(cfg):
+            raise AssertionError("generate called")
+
+        monkeypatch.setattr(randgen, "generate", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "usage error" in err and argv[-2] in err
 
 
 class TestBench:

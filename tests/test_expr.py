@@ -182,19 +182,26 @@ class TestEvaluate:
         assert evaluate(expr.Const(1), Subspace.from_str("0000")) == 1
 
 
+def identity(p):
+    """The index map that keeps every free variable of ``p`` where it is."""
+    return {v: v for v in p.free_vars()}
+
+
 class TestRestrict:
     def test_restrict_to_equivalent_variable(self):
         f = parse("v1 & v4")
-        got = expr.restrict(f, Subspace.from_str("1---"))
+        p = Subspace.from_str("1---")
+        got = expr.restrict(f, p, identity(p))
         assert got == expr.Var(3)
 
     def test_empty_restriction_is_identity(self):
         f = parse("!v3")
-        assert expr.restrict(f, Subspace.whole(4)) == f
+        assert expr.restrict(f, Subspace.whole(4), identity(Subspace.whole(4))) == f
 
     def test_restrict_drops_satisfied_conjunct(self):
         f = parse("!v1 & v4")
-        got = expr.restrict(f, Subspace.from_str("--11"))
+        p = Subspace.from_str("--11")
+        got = expr.restrict(f, p, identity(p))
         assert got == expr.Not(expr.Var(0))
 
     def test_result_never_mentions_fixed_variables(self):
@@ -202,7 +209,7 @@ class TestRestrict:
         for _ in range(200):
             f = _random_expression(rng, 5)
             p = _random_subspace(rng, 5)
-            assert not (expr.syntactic_support(expr.restrict(f, p))
+            assert not (expr.syntactic_support(expr.restrict(f, p, identity(p)))
                         & set(p.fixed_vars()))
 
     def test_soundness_on_random_inputs(self):
@@ -211,16 +218,41 @@ class TestRestrict:
         for _ in range(200):
             f = _random_expression(rng, 4)
             p = _random_subspace(rng, 4)
-            g = expr.restrict(f, p)
+            g = expr.restrict(f, p, identity(p))
             for x in range(16):
                 state = Subspace.from_state(4, x)
                 if contains_state(p, x):
                     assert evaluate(g, state) == evaluate(f, state)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(f=expressions(N),
+           text=st.text("01-", min_size=N, max_size=N).filter(lambda t: "-" in t))
+    def test_renumbering_to_the_free_variables(self, f, text):
+        # reduce's map: the free variables of p, in order, to 0..k-1 (k >= 1,
+        # as reduce keeps at least one variable)
+        p = Subspace.from_str(text)
+        index_map = {v: j for j, v in enumerate(p.free_vars())}
+        k = len(index_map)
+        g = expr.restrict(f, p, index_map)
+        # every index g mentions is a new one, so it mentions no fixed variable
+        assert expr.syntactic_support(g) <= set(range(k))
+        for y in range(1 << k):
+            x = p.vals
+            for v, j in index_map.items():
+                if y >> (k - 1 - j) & 1:
+                    x |= 1 << (N - 1 - v)
+            assert (evaluate(g, Subspace.from_state(k, y))
+                    == evaluate(f, Subspace.from_state(N, x)))
+        for index, nodes in literal_nodes(g).items():
+            kinds = [type(node) for node in nodes.values()]
+            assert kinds.count(expr.Var) <= 1 and kinds.count(expr.Not) <= 1, index
+
+
 class TestConstantValue:
     def test_restriction_makes_f1_constant(self):
-        f = expr.restrict(parse("v1 | v2"), Subspace.from_str("00--"))
+        p = Subspace.from_str("00--")
+        f = expr.restrict(parse("v1 | v2"), p, identity(p))
         assert constant_value(f) == 0
 
     def test_variable_is_not_constant(self):
@@ -310,19 +342,18 @@ class TestSharedNodes:
 
     def test_restrict_returns_unchanged_nodes(self):
         f = parse("!v1 & v2 | v3 & !v4 | !v1 & v3")
-        assert expr.restrict(f, Subspace.whole(4)) is f
-        g = expr.restrict(f, Subspace.from_str("--1-"))  # v3 = 1
+        assert expr.restrict(f, Subspace.whole(4), identity(Subspace.whole(4))) == f
+        p = Subspace.from_str("--1-")  # v3 = 1
+        g = expr.restrict(f, p, identity(p))
         assert g == parse("!v1 & v2 | !v4 | !v1")
-        assert g.children[0] is f.children[0]
-        assert g.children[1] is f.children[1].children[1]
-        assert g.children[2] is f.children[0].children[0]
-        assert expr.restrict(f, Subspace.from_str("0-1-")) is expr.TRUE
+        p = Subspace.from_str("0-1-")
+        assert expr.restrict(f, p, identity(p)) is expr.TRUE
 
     def test_remap_builds_each_literal_once(self):
         f = expr.Or((expr.And((expr.Not(expr.Var(0)), expr.Var(1))),
                      expr.And((expr.Var(0), expr.Not(expr.Var(1)))),
                      expr.Not(expr.Not(expr.Var(1)))))
-        g = expr.remap_variables(f, {0: 3, 1: 0})
+        g = expr.restrict(f, Subspace.whole(2), {0: 3, 1: 0})
         assert g == parse("!v4 & v1 | v4 & !v1 | !!v1")
         nodes = literal_nodes(g)
         assert sorted(nodes) == [0, 3]
