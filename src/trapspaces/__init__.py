@@ -32,7 +32,7 @@ from .primes import PrimeImplicantGraph, build_graph
 from .randgen import GeneratorConfig, generate
 from .solver import (
     ArcSetSolution,
-    TrapSpaceReport,
+    EnumerationResult,
     enumerate_extremal,
     induced_subspace,
     is_consistent,

@@ -84,7 +84,7 @@ def cyclic_attractor_lower_bound(
         oscillating_candidates=[
             [net.variables[v] for v in p.free_vars()] for p in witnesses
         ],
-        complete=report.stats["complete"],
+        complete=report.complete,
     )
 
 
@@ -116,7 +116,7 @@ def commitment_table(
     spaces = report.spaces
     # one state more than the limit tells a truncated list from a full one
     steady = _solver.steady_states(net, limit + 1, timeout, graph=g)
-    complete = report.stats["complete"] and len(steady) <= limit
+    complete = report.complete and len(steady) <= limit
     steady = steady[:limit]
     steady_counts = [len(inside) for inside in _inside(steady, spaces)]
     cyclic_counts = []
@@ -177,4 +177,4 @@ def attractor_trapspace_audit(
                  for p, ins in zip(report.spaces, inside)]
     covered = set().union(*inside)
     outside = [a for i, a in enumerate(attrs) if i not in covered]
-    return AttractorAudit(rule, per_space, outside, report.stats["complete"])
+    return AttractorAudit(rule, per_space, outside, report.complete)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-import time
 from dataclasses import dataclass
 
 from . import analysis as _analysis
@@ -119,6 +119,10 @@ def _require(ok: bool, flag: str, expected: str, value) -> None:
         raise _UsageError(f"argument {flag}: must be {expected}, got {value}")
 
 
+def _require_k(k: float) -> None:
+    _require(math.isfinite(k) and k >= 0, "--k", "a finite non-negative number", k)
+
+
 def _load(args) -> BooleanNetwork:
     return _bnet.load_network(args.file, args.support_cap)
 
@@ -207,12 +211,13 @@ def _cmd_trapspaces(args) -> _Result:
     g = build_graph(net)
     fn = _solver.min_trap_spaces if args.mode == "min" else _solver.max_trap_spaces
     try:
-        report = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
+        result = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
     except SolverTimeoutError as exc:
-        report = _solver.trap_space_report(g, exc.partial, args.mode)
-    return _spaces(net, report.mode, report.spaces, report.stats["stop"],
-                   witnesses=[list(w.arc_ids) for w in report.witnesses],
-                   stats=report.stats)
+        result = exc.partial
+    stats = {"arcs": g.m, "iterations": result.iterations, "nodes": result.nodes,
+             "elapsed": result.elapsed, "complete": result.complete, "stop": result.stop}
+    return _spaces(net, args.mode, result.spaces, result.stop,
+                   witnesses=[list(w.arc_ids) for w in result.witnesses], stats=stats)
 
 
 def _cmd_steady(args) -> _Result:
@@ -223,7 +228,7 @@ def _cmd_steady(args) -> _Result:
         states = _solver.steady_states(net, args.limit + 1, args.timeout, graph=g)
         stop = _cut(states, args.limit)
     except SolverTimeoutError as exc:
-        states, stop = _solver.spaces_of(exc.partial), "timeout"
+        states, stop = exc.partial.spaces, "timeout"
     return _spaces(net, "steady", states[:args.limit], stop)
 
 
@@ -316,8 +321,8 @@ def _cmd_check(args) -> _Result:
     failures = []
     stop = "complete"
     for label, got, got_stop, expected in [
-        ("min", got_min.spaces, got_min.stats["stop"], oracle_min),
-        ("max", got_max.spaces, got_max.stats["stop"], oracle_max),
+        ("min", got_min.spaces, got_min.stop, oracle_min),
+        ("max", got_max.spaces, got_max.stop, oracle_max),
         ("steady", got_steady[:args.limit], _cut(got_steady, args.limit), oracle_steady),
     ]:
         got_text = sorted(map(str, got))
@@ -338,8 +343,7 @@ def _cmd_check(args) -> _Result:
 def _cmd_random(args) -> _Result:
     _require(args.n >= 1, "--n", "at least 1", args.n)
     _require(args.degree_cap >= 1, "--degree-cap", "at least 1", args.degree_cap)
-    # a NaN --k passes, and the generator refuses it, like inf, as an input error
-    _require(not args.k < 0, "--k", "non-negative", args.k)
+    _require_k(args.k)
     cfg = _randgen.GeneratorConfig(n=args.n, k=args.k, seed=args.seed,
                                    degree_cap=args.degree_cap)
     # each function's table has 2^degree rows: refuse before generating any
@@ -354,10 +358,11 @@ def _cmd_bench(args) -> _Result:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad --sizes value: {args.sizes!r}") from exc
+    _require(bool(sizes), "--sizes", "at least one size", repr(args.sizes))
     for n in sizes:
         _require(n >= 1, "--sizes", "at least 1 each", n)
     _require(args.reps >= 1, "--reps", "at least 1", args.reps)
-    _require(not args.k < 0, "--k", "non-negative", args.k)
+    _require_k(args.k)
     rows = ["# in-degree sampled from Poisson(k) clamped to [1, min(degree-cap, n)]",
             "n,seed,primes,n_min,mean_fixed_min,ms_min,n_max,mean_fixed_max,ms_max"]
     runs = [n for n in sizes for _ in range(args.reps)]
@@ -368,17 +373,15 @@ def _cmd_bench(args) -> _Result:
         g = build_graph(net)
         row = [n, seed, g.m]
         for fn in (_solver.min_trap_spaces, _solver.max_trap_spaces):
-            start = time.monotonic()
             try:
-                report = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
+                result = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
             except SolverTimeoutError:
                 return _Result(_lines(rows), stop="timeout")
-            elapsed_ms = (time.monotonic() - start) * 1000.0
-            if report.stats["stop"] == "limit":
+            if result.stop == "limit":
                 stop = "limit"
-            fixed = [p.num_fixed for p in report.spaces]
+            fixed = [sol.induced.num_fixed for sol in result.solutions]
             mean_fixed = sum(fixed) / len(fixed) if fixed else 0.0
-            row.extend([len(report.spaces), f"{mean_fixed:.2f}", f"{elapsed_ms:.1f}"])
+            row.extend([len(fixed), f"{mean_fixed:.2f}", f"{result.elapsed * 1000.0:.1f}"])
         rows.append(",".join(map(str, row)))
     return _Result(_lines(rows), stop=stop)
 

@@ -23,13 +23,16 @@ consistent when no two heads assign opposite values to one variable, and
 stable when every tail literal of a selected arc is the head of a selected
 arc. Inclusion-maximal such sets induce the minimal trap spaces and
 inclusion-minimal non-empty ones the maximal trap spaces.
+
+Every search returns one record, ``EnumerationResult``. ``min_trap_spaces``
+and ``max_trap_spaces`` return it, and ``steady_states`` returns its spaces.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InconsistentArcSetError, SolverTimeoutError, TrapSpacesError
@@ -46,14 +49,6 @@ class ArcSetSolution:
 
     arc_ids: tuple[int, ...]
     induced: Subspace
-
-
-@dataclass
-class TrapSpaceReport:
-    mode: str  # "min" | "max" | "steady"
-    spaces: list[Subspace]
-    witnesses: list[ArcSetSolution]
-    stats: dict = field(default_factory=dict)
 
 
 def _heads(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> int:
@@ -292,6 +287,10 @@ class _Search:
 
 @dataclass
 class EnumerationResult:
+    """What one search found, why it stopped, and what it cost (``elapsed``
+    in seconds). The solutions come in two orders: ``solutions`` as found,
+    ``witnesses`` sorted by pattern, with ``spaces`` their induced subspaces."""
+
     solutions: list[ArcSetSolution]
     stop: str  # "complete" | "limit" | "timeout"
     iterations: int
@@ -301,6 +300,14 @@ class EnumerationResult:
     @property
     def complete(self) -> bool:
         return self.stop == "complete"
+
+    @property
+    def witnesses(self) -> list[ArcSetSolution]:
+        return sorted(self.solutions, key=lambda sol: str(sol.induced))
+
+    @property
+    def spaces(self) -> list[Subspace]:
+        return [sol.induced for sol in self.witnesses]
 
 
 def enumerate_extremal(
@@ -374,45 +381,20 @@ def enumerate_extremal(
     return result(stop)
 
 
-def spaces_of(result: EnumerationResult) -> list[Subspace]:
-    """The spaces induced by the solutions of ``result``, sorted by pattern."""
-    return sorted((sol.induced for sol in result.solutions), key=str)
-
-
-def trap_space_report(g: PrimeImplicantGraph, result: EnumerationResult,
-                      mode: str) -> TrapSpaceReport:
-    """The report of a minimal (mode="min", from max-mode arc sets) or
-    maximal (mode="max", from min-mode arc sets) trap-space enumeration.
-    When no proper minimal trap space exists, the whole space is the unique
-    one."""
-    solutions = sorted(result.solutions, key=lambda sol: str(sol.induced))
-    if mode == "min" and not solutions and result.complete:
-        solutions = [ArcSetSolution((), Subspace.whole(g.n))]
-    return TrapSpaceReport(
-        mode=mode,
-        spaces=[sol.induced for sol in solutions],
-        witnesses=solutions,
-        stats={
-            "arcs": g.m,
-            "iterations": result.iterations,
-            "nodes": result.nodes,
-            "elapsed": result.elapsed,
-            "complete": result.complete,
-            "stop": result.stop,
-        },
-    )
-
-
 def min_trap_spaces(
     net: BooleanNetwork,
     limit: int = DEFAULT_LIMIT,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     graph: Optional[PrimeImplicantGraph] = None,
-) -> TrapSpaceReport:
+) -> EnumerationResult:
     """Minimal trap spaces: the spaces induced by the maximal stable and
-    consistent arc sets."""
+    consistent arc sets. When a complete search finds no proper trap space,
+    the whole space is the unique minimal one, with the empty arc set."""
     g = graph if graph is not None else build_graph(net)
-    return trap_space_report(g, enumerate_extremal(g, "max", limit, timeout), "min")
+    result = enumerate_extremal(g, "max", limit, timeout)
+    if result.complete and not result.solutions:
+        result.solutions.append(ArcSetSolution((), Subspace.whole(g.n)))
+    return result
 
 
 def max_trap_spaces(
@@ -420,11 +402,11 @@ def max_trap_spaces(
     limit: int = DEFAULT_LIMIT,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     graph: Optional[PrimeImplicantGraph] = None,
-) -> TrapSpaceReport:
+) -> EnumerationResult:
     """Maximal trap spaces strictly below the whole space: the spaces
     induced by the minimal non-empty stable and consistent arc sets."""
     g = graph if graph is not None else build_graph(net)
-    return trap_space_report(g, enumerate_extremal(g, "min", limit, timeout), "max")
+    return enumerate_extremal(g, "min", limit, timeout)
 
 
 def steady_states(
@@ -433,7 +415,8 @@ def steady_states(
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     graph: Optional[PrimeImplicantGraph] = None,
 ) -> list[Subspace]:
-    """All states x with F(x) = x, as the all-variables-fixed solutions of the
-    arc-set constraint system (computed independently of min_trap_spaces)."""
+    """All states x with F(x) = x, sorted by pattern: the all-variables-fixed
+    solutions of the arc-set constraint system (computed independently of
+    min_trap_spaces)."""
     g = graph if graph is not None else build_graph(net)
-    return spaces_of(enumerate_extremal(g, "max", limit, timeout, require_all_vars=True))
+    return enumerate_extremal(g, "max", limit, timeout, require_all_vars=True).spaces

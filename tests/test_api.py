@@ -9,13 +9,13 @@ PUBLIC_NAMES = [
     "BooleanNetwork",
     "CommitmentTable",
     "CyclicLowerBound",
+    "EnumerationResult",
     "Expression",
     "GeneratorConfig",
     "PrimeImplicantGraph",
     "ReducedNetwork",
     "StateTransitionGraph",
     "Subspace",
-    "TrapSpaceReport",
     "attractor_trapspace_audit",
     "attractors",
     "brute_force_trap_spaces",

@@ -11,6 +11,7 @@ import pytest
 from trapspaces import cli, dynamics, parse_network, primes, randgen, write_network
 from trapspaces.errors import SolverTimeoutError
 from trapspaces.randgen import GeneratorConfig, generate
+from trapspaces.solver import ArcSetSolution
 from trapspaces.space import Subspace
 
 from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, corpus, fixture_path
@@ -429,7 +430,8 @@ class TestCheck:
         # a truncated list holding a space the oracle rejects is a mismatch
         def wrong_max(*args, **kwargs):
             report = solve_max(*args, **kwargs)
-            return dataclasses.replace(report, spaces=[Subspace.from_str("0---")])
+            wrong = ArcSetSolution((), Subspace.from_str("0---"))
+            return dataclasses.replace(report, solutions=[wrong])
 
         solve_max = cli._solver.max_trap_spaces
         monkeypatch.setattr(cli._solver, "max_trap_spaces", wrong_max)
@@ -501,6 +503,7 @@ class TestGeneratorValues:
         ("random", "--n", "4", "--k", "-1"),
         ("random", "--n", "4", "--degree-cap", "0"),
         ("bench", "--sizes", "3,-2"),
+        ("bench", "--sizes", ","),
         ("bench", "--sizes", "3", "--k", "-1"),
     ])
     def test_out_of_range_values_exit_1_before_generating(self, capsys, monkeypatch, argv):
@@ -686,10 +689,10 @@ class TestExitCodes:
     def test_non_finite_k_is_an_input_error(self, capsys, tmp_path, k):
         path = tmp_path / "net.bnet"
         code, _, err = run(capsys, "random", "--n", "4", "--k", k, "-o", str(path))
-        assert code == 2 and "input error" in err
+        assert code == 1 and "usage error" in err and "--k" in err
         assert not path.exists()
         code, _, err = run(capsys, "bench", "--sizes", "4", "--reps", "1", "--k", k)
-        assert code == 2 and "input error" in err
+        assert code == 1 and "usage error" in err and "--k" in err
 
 
 class TestInProcessReuse:

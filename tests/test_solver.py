@@ -15,6 +15,7 @@ from trapspaces.errors import (
     TrapSpacesError,
 )
 from trapspaces.solver import (
+    _Search,
     enumerate_extremal,
     induced_subspace,
     is_consistent,
@@ -201,21 +202,59 @@ class TestEnumerateExtremal:
         assert runs[0] == runs[1] and runs[2] == runs[3]
 
 
+def _recorded_leaves(g, mode):
+    """The leaves the search reaches in ``mode``, each installed as a
+    no-good as ``enumerate_extremal`` does."""
+    search = _Search(g, fixed_first=mode == "max", allow_free=True, deadline=None)
+    leaves = []
+    while (leaf := search.next_leaf()) is not None:
+        search.nogoods.append(leaf[0])
+        leaves.append(leaf)
+    return leaves
+
+
+class TestSelfChecks:
+    """The checks inside ``enumerate_extremal``, reached by replaying
+    doctored leaves of the example graph in place of the search's."""
+
+    @staticmethod
+    def replay(monkeypatch, leaves):
+        queue = iter([*leaves, None])
+        monkeypatch.setattr(_Search, "next_leaf", lambda self: next(queue))
+
+    def test_the_same_leaf_twice(self, example_graph, monkeypatch):
+        leaf = _recorded_leaves(example_graph, "max")[0]
+        self.replay(monkeypatch, [leaf, leaf])
+        with pytest.raises(TrapSpacesError, match="comparable spaces"):
+            enumerate_extremal(example_graph, "max")
+
+    def test_max_mode_leaf_with_every_arc_alive(self, example_graph, monkeypatch):
+        # a10 and a11 assign opposite values to v4
+        lits, _ = _recorded_leaves(example_graph, "max")[0]
+        self.replay(monkeypatch, [(lits, (1 << example_graph.m) - 1)])
+        with pytest.raises(TrapSpacesError, match="invalid arc set"):
+            enumerate_extremal(example_graph, "max")
+
+    def test_min_mode_literal_without_an_alive_provider(self, example_graph, monkeypatch):
+        lits, alive = _recorded_leaves(example_graph, "min")[0]
+        low = (lits & -lits).bit_length() - 1
+        self.replay(monkeypatch, [(lits, alive & ~example_graph.heads_mask[low])])
+        with pytest.raises(TrapSpacesError, match="no provider"):
+            enumerate_extremal(example_graph, "min")
+
+
 class TestTrapSpaceReports:
     def test_min_trap_spaces_of_example(self, example_net, example_graph):
         report = min_trap_spaces(example_net, graph=example_graph)
         assert [str(p) for p in report.spaces] == ["00--", "1101"]
-        assert report.mode == "min"
         # witness arc sets induce their spaces
         for p, w in zip(report.spaces, report.witnesses):
             assert w.induced == p
-        assert report.stats["arcs"] == 11
-        assert report.stats["complete"]
+        assert report.complete
 
     def test_max_trap_spaces_of_example(self, example_net, example_graph):
         report = max_trap_spaces(example_net, graph=example_graph)
         assert [str(p) for p in report.spaces] == ["00--", "1---"]
-        assert report.mode == "max"
 
     def test_steady_states_of_example(self, example_net, example_graph):
         assert [str(x) for x in steady_states(example_net, graph=example_graph)] == [
@@ -268,7 +307,7 @@ class TestAgainstBruteForce:
         nets = list(corpus(47))
         for net in (nets[19], nets[46]):
             report = max_trap_spaces(net)
-            assert report.stats["iterations"] == len(report.spaces) + 1
+            assert report.iterations == len(report.spaces) + 1
 
     def test_min_max_and_steady_on_a_corpus(self):
         for net in corpus(60, seed0=800):
