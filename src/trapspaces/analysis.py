@@ -3,12 +3,12 @@ bound, commitment tables and attractor containment audits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import dynamics as _dynamics
 from . import expr as _expr
 from . import solver as _solver
+from ._value import Value
 from .errors import CapExceededError, NotATrapSpaceError
 from .primes import build_graph
 from .space import (
@@ -20,15 +20,22 @@ from .space import (
 )
 
 
-@dataclass(frozen=True)
-class ReducedNetwork:
+class ReducedNetwork(Value):
     """A network with the fixed variables of a trap space divided out."""
 
+    __slots__ = _fields = ("parent", "fixing", "network", "index_map")
     parent: BooleanNetwork
     fixing: Subspace
     network: BooleanNetwork
     # parent variable index -> reduced index, for the free variables
     index_map: dict[int, int]
+
+    def __init__(self, parent: BooleanNetwork, fixing: Subspace, network: BooleanNetwork,
+                 index_map: dict[int, int]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "fixing", fixing)
+        object.__setattr__(self, "network", network)
+        object.__setattr__(self, "index_map", index_map)
 
     def embed_state(self, reduced_state: int) -> int:
         """Map a reduced state back to the parent state it represents."""
@@ -58,8 +65,9 @@ def reduce(net: BooleanNetwork, p: Subspace, unchecked: bool = False) -> Reduced
     return ReducedNetwork(net, p, BooleanNetwork(names, functions, net.support_cap), index_map)
 
 
-@dataclass
-class CyclicLowerBound:
+class CyclicLowerBound(Value):
+    __slots__ = _fields = ("count", "witnesses", "oscillating_candidates", "complete")
+    __hash__ = None
     count: int
     witnesses: list[Subspace]
     # per witness, the free variables (some of which must oscillate)
@@ -67,6 +75,13 @@ class CyclicLowerBound:
     # False when --limit truncated the minimal trap spaces: the count may
     # then include non-minimal spaces and is no sound bound
     complete: bool
+
+    def __init__(self, count: int, witnesses: list[Subspace],
+                 oscillating_candidates: list[list[str]], complete: bool):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "oscillating_candidates", oscillating_candidates)
+        object.__setattr__(self, "complete", complete)
 
 
 def cyclic_attractor_lower_bound(
@@ -88,13 +103,24 @@ def cyclic_attractor_lower_bound(
     )
 
 
-@dataclass
-class CommitmentTable:
+class CommitmentTable(Value):
+    __slots__ = _fields = ("spaces", "steady_counts", "sync_cyclic_counts",
+                           "async_cyclic_counts", "complete")
+    __hash__ = None
     spaces: list[Subspace]
     steady_counts: list[int]
     sync_cyclic_counts: Optional[list[int]]
     async_cyclic_counts: Optional[list[int]]
     complete: bool  # False when the limit truncated the spaces or steady states
+
+    def __init__(self, spaces: list[Subspace], steady_counts: list[int],
+                 sync_cyclic_counts: Optional[list[int]],
+                 async_cyclic_counts: Optional[list[int]], complete: bool):
+        object.__setattr__(self, "spaces", spaces)
+        object.__setattr__(self, "steady_counts", steady_counts)
+        object.__setattr__(self, "sync_cyclic_counts", sync_cyclic_counts)
+        object.__setattr__(self, "async_cyclic_counts", async_cyclic_counts)
+        object.__setattr__(self, "complete", complete)
 
 
 def commitment_table(
@@ -145,19 +171,33 @@ def _inside(items: list[Subspace], spaces: list[Subspace]) -> list[list[int]]:
     return [[i for i, q in enumerate(items) if subspace_leq(q, p)] for p in spaces]
 
 
-@dataclass
-class SpaceAudit:
+class SpaceAudit(Value):
+    __slots__ = _fields = ("space", "attractor_count", "tight")
+    __hash__ = None
     space: Subspace
     attractor_count: int
     tight: list[bool]  # per contained attractor: enclosing subspace equals the space
 
+    def __init__(self, space: Subspace, attractor_count: int, tight: list[bool]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "attractor_count", attractor_count)
+        object.__setattr__(self, "tight", tight)
 
-@dataclass
-class AttractorAudit:
+
+class AttractorAudit(Value):
+    __slots__ = _fields = ("rule", "per_space", "outside", "complete")
+    __hash__ = None
     rule: str
     per_space: list[SpaceAudit]
     outside: list[list[int]]  # attractors contained in no minimal trap space
     complete: bool  # False when the limit truncated the minimal trap spaces
+
+    def __init__(self, rule: str, per_space: list[SpaceAudit], outside: list[list[int]],
+                 complete: bool):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "per_space", per_space)
+        object.__setattr__(self, "outside", outside)
+        object.__setattr__(self, "complete", complete)
 
 
 def attractor_trapspace_audit(

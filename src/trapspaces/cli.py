@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from . import analysis as _analysis
 from . import bnet as _bnet
@@ -24,6 +23,7 @@ from . import encode as _encode
 from . import expr as _expr
 from . import randgen as _randgen
 from . import solver as _solver
+from ._value import Value
 from .errors import (CapExceededError, SolverTimeoutError, SupportTooLargeError,
                      TrapSpacesError)
 from .primes import build_graph
@@ -127,17 +127,25 @@ def _load(args) -> BooleanNetwork:
     return _bnet.load_network(args.file, args.support_cap)
 
 
-@dataclass
-class _Result:
+class _Result(Value):
     """What a command produced. ``text`` is its plain output and ``doc`` its
     ``--json`` document (None where it has none). ``stop`` says why it
     stopped: "complete", "limit", "timeout" or "mismatch" (``check``).
     ``notes`` go to stderr along with the text form."""
 
+    __slots__ = _fields = ("text", "doc", "stop", "notes")
+    __hash__ = None
     text: str
-    doc: object = None
-    stop: str = "complete"
-    notes: tuple[str, ...] = ()
+    doc: object
+    stop: str
+    notes: tuple[str, ...]
+
+    def __init__(self, text: str, doc: object = None, stop: str = "complete",
+                 notes: tuple[str, ...] = ()):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "doc", doc)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "notes", notes)
 
 
 _EXIT = {"complete": EXIT_OK, "limit": EXIT_RESOURCE, "timeout": EXIT_RESOURCE,

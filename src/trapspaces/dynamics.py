@@ -23,11 +23,11 @@ applies to each function's syntactic support, not to n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from . import expr as _expr
+from ._value import Value
 from .errors import CapExceededError, TrapSpacesError
 from .space import BooleanNetwork, Subspace
 
@@ -42,11 +42,16 @@ _BLOCK = 1 << 16
 _KERNEL_VARS = 10
 
 
-@dataclass(frozen=True)
-class StateTransitionGraph:
+class StateTransitionGraph(Value):
+    __slots__ = _fields = ("rule", "n", "successors")
     rule: str  # "sync" | "async"
     n: int
     successors: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rule: str, n: int, successors: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "successors", successors)
 
 
 def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> StateTransitionGraph:

@@ -5,8 +5,8 @@ walk) and syntactic support.
 Concrete syntax: identifiers ``[A-Za-z_][A-Za-z0-9_]*``, negation ``!``,
 conjunction ``&``, disjunction ``|``, constants ``0``/``1`` and parentheses.
 Precedence is ``!`` > ``&`` > ``|``; both binary operators are n-ary in the AST.
-All nodes are immutable and safe to share between workers. Every producer
-of ASTs builds each literal once per expression: in what the parser, the
+All nodes are immutable, so one node may be shared by many trees. Every
+producer of ASTs builds each literal once per expression: in what the parser, the
 random generator (``randgen``) and ``restrict`` return, every
 occurrence of ``v`` is one ``Var`` node and every ``!v`` one ``Not`` node,
 and the constants are the two shared nodes ``FALSE`` and ``TRUE``. The
@@ -19,28 +19,29 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from operator import length_hint
 from typing import Optional, Sequence
 
+from ._value import Value
 from .errors import ExpressionSyntaxError, SupportTooLargeError, UnknownVariableError
 
 DEFAULT_SUPPORT_CAP = 16
 
 
-class Expression:
+class Expression(Value):
     """Base class for AST nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expression):
+    __slots__ = _fields = ("value",)
     value: int
 
-    def __post_init__(self):
-        if self.value not in (0, 1):
+    def __init__(self, value: int):
+        if value not in (0, 1):
             raise ValueError("constant must be 0 or 1")
+        object.__setattr__(self, "value", value)
 
 
 FALSE = Const(0)
@@ -48,32 +49,40 @@ TRUE = Const(1)
 _CONSTANTS = (FALSE, TRUE)
 
 
-@dataclass(frozen=True)
 class Var(Expression):
+    __slots__ = _fields = ("index",)
     index: int
 
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
-@dataclass(frozen=True)
+
 class Not(Expression):
+    __slots__ = _fields = ("child",)
     child: Expression
 
+    def __init__(self, child: Expression):
+        object.__setattr__(self, "child", child)
 
-@dataclass(frozen=True)
+
 class And(Expression):
+    __slots__ = _fields = ("children",)
     children: tuple
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple):
+        if len(children) < 2:
             raise ValueError("And requires at least two children")
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Or(Expression):
+    __slots__ = _fields = ("children",)
     children: tuple
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple):
+        if len(children) < 2:
             raise ValueError("Or requires at least two children")
+        object.__setattr__(self, "children", children)
 
 
 # a negated identifier is one token, so it costs one step of the parse

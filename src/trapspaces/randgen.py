@@ -16,30 +16,35 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import compress, product
 
 from . import expr as _expr
+from ._value import Value
 from .space import BooleanNetwork
 
 DEFAULT_MEAN_DEGREE = 3.0
 DEFAULT_DEGREE_CAP = 12
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Value):
+    __slots__ = _fields = ("n", "k", "seed", "degree_cap")
     n: int
-    k: float = DEFAULT_MEAN_DEGREE
-    seed: int = 0
-    degree_cap: int = DEFAULT_DEGREE_CAP
+    k: float
+    seed: int
+    degree_cap: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, k: float = DEFAULT_MEAN_DEGREE, seed: int = 0,
+                 degree_cap: int = DEFAULT_DEGREE_CAP):
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if not math.isfinite(self.k) or self.k < 0:
-            raise ValueError(f"k must be finite and non-negative, got {self.k}")
-        if not 1 <= self.degree_cap:
+        if not math.isfinite(k) or k < 0:
+            raise ValueError(f"k must be finite and non-negative, got {k}")
+        if not 1 <= degree_cap:
             raise ValueError("degree cap must be at least 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "degree_cap", degree_cap)
 
 
 def _poisson(rng: random.Random, mean: float) -> int:

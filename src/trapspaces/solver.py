@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._value import Value
 from .errors import InconsistentArcSetError, SolverTimeoutError, TrapSpacesError
 from .primes import PrimeImplicantGraph, build_graph, literals
 from .space import BooleanNetwork, Subspace
@@ -43,12 +43,16 @@ DEFAULT_LIMIT = 100_000
 DEFAULT_TIMEOUT = 600.0
 
 
-@dataclass(frozen=True)
-class ArcSetSolution:
+class ArcSetSolution(Value):
     """A stable and consistent arc set together with its induced subspace."""
 
+    __slots__ = _fields = ("arc_ids", "induced")
     arc_ids: tuple[int, ...]
     induced: Subspace
+
+    def __init__(self, arc_ids: tuple[int, ...], induced: Subspace):
+        object.__setattr__(self, "arc_ids", arc_ids)
+        object.__setattr__(self, "induced", induced)
 
 
 def _heads(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> int:
@@ -285,17 +289,26 @@ class _Search:
                 return alive, fixed, provided
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(Value):
     """What one search found, why it stopped, and what it cost (``elapsed``
     in seconds). The solutions come in two orders: ``solutions`` as found,
     ``witnesses`` sorted by pattern, with ``spaces`` their induced subspaces."""
 
+    __slots__ = _fields = ("solutions", "stop", "iterations", "nodes", "elapsed")
+    __hash__ = None
     solutions: list[ArcSetSolution]
     stop: str  # "complete" | "limit" | "timeout"
     iterations: int
     nodes: int
     elapsed: float
+
+    def __init__(self, solutions: list[ArcSetSolution], stop: str, iterations: int,
+                 nodes: int, elapsed: float):
+        object.__setattr__(self, "solutions", solutions)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def complete(self) -> bool:

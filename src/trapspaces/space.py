@@ -9,33 +9,36 @@ and are interchangeably handled as plain integers where speed matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import expr as _expr
+from ._value import Value
 from .errors import SupportTooLargeError, TrapSpacesError
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A partial assignment: ``mask`` marks fixed variables, ``vals`` their values.
 
     Canonical form: value bits of free variables are zero, so structural
     equality coincides with semantic equality.
     """
 
+    __slots__ = _fields = ("n", "mask", "vals")
     n: int
     mask: int
     vals: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, mask: int, vals: int):
+        if n < 1:
             raise ValueError("need at least one variable")
-        full = (1 << self.n) - 1
-        if self.mask & ~full or self.vals & ~full:
+        full = (1 << n) - 1
+        if mask & ~full or vals & ~full:
             raise ValueError("bits outside the vocabulary")
-        if self.vals & ~self.mask:
+        if vals & ~mask:
             raise ValueError("value bit set for a free variable")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "vals", vals)
 
     @staticmethod
     def whole(n: int) -> "Subspace":
@@ -139,8 +142,7 @@ def smallest_enclosing_subspace(states: Iterable[int], n: int) -> Subspace:
     return Subspace(n, mask, first & mask)
 
 
-@dataclass(frozen=True)
-class BooleanNetwork:
+class BooleanNetwork(Value):
     """Ordered variables plus one update expression per variable.
 
     Each function's sorted syntactic support is computed once, when the
@@ -151,24 +153,32 @@ class BooleanNetwork:
     variables (``check_supports``).
     """
 
+    # equality, hashing and repr read only the variables and functions
+    _fields = ("variables", "functions")
+    __slots__ = _fields + ("support_cap", "supports", "_tables")
     variables: tuple[str, ...]
     functions: tuple[_expr.Expression, ...]
-    support_cap: int = field(default=_expr.DEFAULT_SUPPORT_CAP, compare=False, repr=False)
-    supports: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    _tables: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    support_cap: int
+    supports: tuple[tuple[int, ...], ...]
+    _tables: Optional[list]
 
-    def __post_init__(self):
-        if len(self.variables) < 1:
+    def __init__(self, variables: tuple[str, ...], functions: tuple[_expr.Expression, ...],
+                 support_cap: int = _expr.DEFAULT_SUPPORT_CAP):
+        if len(variables) < 1:
             raise ValueError("need at least one variable")
-        if len(self.variables) != len(self.functions):
+        if len(variables) != len(functions):
             raise ValueError("variables and functions must align")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        supports = tuple(tuple(sorted(_expr.syntactic_support(f))) for f in self.functions)
-        n = len(self.variables)
+        supports = tuple(tuple(sorted(_expr.syntactic_support(f))) for f in functions)
+        n = len(variables)
         if any(s and (s[0] < 0 or s[-1] >= n) for s in supports):
             raise ValueError("function references an undeclared variable")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "support_cap", support_cap)
         object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "_tables", None)
 
     @property
     def n(self) -> int:
@@ -177,7 +187,8 @@ class BooleanNetwork:
     @staticmethod
     def from_strings(pairs: Sequence[tuple[str, str]]) -> "BooleanNetwork":
         names = tuple(name for name, _ in pairs)
-        functions = tuple(_expr.parse_expression(text, names) for _, text in pairs)
+        index_of = {name: i for i, name in enumerate(names)}
+        functions = tuple(_expr.parse_expression(text, index_of) for _, text in pairs)
         return BooleanNetwork(names, functions)
 
     def check_supports(self) -> None:

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 
 import pytest
 from hypothesis import strategies as st
@@ -97,6 +99,33 @@ def literal_nodes(f):
         elif isinstance(g, (expr.And, expr.Or)):
             stack.extend(g.children)
     return nodes
+
+
+def assert_value_semantics(by_keyword, positional, text, different):
+    """Check a frozen value class on fresh instances: ``by_keyword()`` and
+    ``positional()`` build one value, ``text`` is its exact repr and
+    ``different`` a value that differs from it in one field. Equal values
+    hash equally, assignment and deletion raise AttributeError, and every
+    pickle protocol and ``copy.deepcopy`` give back an equal value."""
+    value = by_keyword()
+    assert value == positional() and not value != positional()
+    assert hash(value) == hash(positional())
+    assert value != different and not value == different
+    assert repr(value) == text
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.unknown = 1
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.deepcopy(value)]
+    for copied in copies:
+        assert copied is not value and copied == value and hash(copied) == hash(value)
+        assert repr(copied) == text
+        for name in type(value).__slots__:
+            assert getattr(copied, name) == getattr(value, name)
 
 
 def fixture_path(name):

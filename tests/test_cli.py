@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +10,7 @@ import pytest
 from trapspaces import cli, dynamics, parse_network, primes, randgen, write_network
 from trapspaces.errors import SolverTimeoutError
 from trapspaces.randgen import GeneratorConfig, generate
-from trapspaces.solver import ArcSetSolution
+from trapspaces.solver import ArcSetSolution, EnumerationResult
 from trapspaces.space import Subspace
 
 from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, corpus, fixture_path
@@ -431,7 +430,8 @@ class TestCheck:
         def wrong_max(*args, **kwargs):
             report = solve_max(*args, **kwargs)
             wrong = ArcSetSolution((), Subspace.from_str("0---"))
-            return dataclasses.replace(report, solutions=[wrong])
+            return EnumerationResult([wrong], report.stop, report.iterations, report.nodes,
+                                     report.elapsed)
 
         solve_max = cli._solver.max_trap_spaces
         monkeypatch.setattr(cli._solver, "max_trap_spaces", wrong_max)
@@ -764,10 +764,12 @@ def test_golden_cli_hash(capsys, tmp_path):
         "626020e86907246b8ddb54e59649d23af3a32b22cf39a155559e1030bcfdd6fd")
 
 
-def test_import_loads_no_process_pool():
+def test_import_loads_no_process_pool_and_no_dataclasses():
+    # dataclasses imports inspect (and with it ast, dis and tokenize) and
+    # builds each class's methods with exec, which every CLI call would pay
     code = ("import sys, trapspaces.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', "
+            "'dataclasses', 'inspect') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout

@@ -12,7 +12,7 @@ from trapspaces.errors import (
 )
 from trapspaces.space import Subspace
 
-from conftest import dense, expressions, literal_nodes
+from conftest import assert_value_semantics, dense, expressions, literal_nodes
 from reference import (constant_value, contains_state, essential_support, evaluate,
                        format_expression, mentioned_variables)
 
@@ -333,6 +333,38 @@ class TestWalkersAgainstReference:
         assert text == format_expression(f, vocab)
         assert parse(text, vocab) == f
         assert expr.syntactic_support(f) == mentioned_variables(f)
+
+
+NODES = {
+    "Const": (lambda: expr.Const(value=1), lambda: expr.Const(1), "Const(value=1)",
+              expr.FALSE),
+    "Var": (lambda: expr.Var(index=0), lambda: expr.Var(0), "Var(index=0)", expr.Var(1)),
+    "Not": (lambda: expr.Not(child=expr.Var(index=2)), lambda: expr.Not(expr.Var(2)),
+            "Not(child=Var(index=2))", expr.Not(expr.Var(1))),
+    "And": (lambda: expr.And(children=(expr.Var(0), expr.Not(expr.Var(1)))),
+            lambda: parse("v1 & !v2"),
+            "And(children=(Var(index=0), Not(child=Var(index=1))))", parse("v1 & v2")),
+    "Or": (lambda: expr.Or(children=(expr.Var(0), expr.TRUE)), lambda: parse("v1 | 1"),
+           "Or(children=(Var(index=0), Const(value=1)))", parse("v1 | 0")),
+}
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_nodes_are_frozen_values(self, name):
+        assert_value_semantics(*NODES[name])
+
+    def test_nodes_of_different_kinds_differ(self):
+        assert expr.Var(1) != expr.Const(1) and expr.Const(1) != expr.Var(1)
+        children = (expr.Var(0), expr.Var(1))
+        assert expr.And(children) != expr.Or(children)
+        assert expr.Var(0) != 0 and expr.Var(0) != (0,)
+
+    def test_constructors_keep_their_checks(self):
+        for make in (lambda: expr.Const(2), lambda: expr.And((expr.Var(0),)),
+                     lambda: expr.Or(children=())):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestSharedNodes:

@@ -3,7 +3,11 @@ from itertools import product
 
 import pytest
 
+from trapspaces.analysis import CyclicLowerBound
 from trapspaces.errors import TrapSpacesError
+from trapspaces.expr import Not, Var
+from trapspaces.randgen import GeneratorConfig
+from trapspaces.solver import ArcSetSolution, EnumerationResult
 from trapspaces.space import (
     BooleanNetwork,
     Subspace,
@@ -14,7 +18,7 @@ from trapspaces.space import (
     subspace_leq,
 )
 
-from conftest import corpus
+from conftest import assert_value_semantics, corpus
 from reference import contains_state, evaluate, image_state, referenced_states, state_int
 
 S = Subspace.from_str
@@ -72,6 +76,60 @@ class TestSubspaceBasics:
         assert not S("1-01").is_state
         with pytest.raises(TrapSpacesError):
             state_int(S("1-01"))
+
+
+def _tabulated(net):
+    net.tables()
+    return net
+
+
+VALUES = {
+    "Subspace": (lambda: Subspace(n=4, mask=6, vals=2), lambda: Subspace(4, 6, 2),
+                 "Subspace(n=4, mask=6, vals=2)", Subspace(4, 6, 0)),
+    # equality ignores support_cap; the copies keep the tables
+    "BooleanNetwork": (
+        lambda: _tabulated(BooleanNetwork(variables=("a", "b"),
+                                          functions=(Var(index=1), Not(child=Var(index=0))),
+                                          support_cap=4)),
+        lambda: BooleanNetwork(("a", "b"), (Var(1), Not(Var(0)))),
+        "BooleanNetwork(variables=('a', 'b'), functions=(Var(index=1), Not(child=Var(index=0))))",
+        BooleanNetwork(("a", "b"), (Var(1), Var(0))),
+    ),
+    "ArcSetSolution": (lambda: ArcSetSolution(arc_ids=(1, 3), induced=Subspace(2, 2, 2)),
+                       lambda: ArcSetSolution((1, 3), S("1-")),
+                       "ArcSetSolution(arc_ids=(1, 3), induced=Subspace(n=2, mask=2, vals=2))",
+                       ArcSetSolution((1,), S("1-"))),
+    "GeneratorConfig": (lambda: GeneratorConfig(n=5, k=3.0, seed=0, degree_cap=12),
+                        lambda: GeneratorConfig(5),
+                        "GeneratorConfig(n=5, k=3.0, seed=0, degree_cap=12)",
+                        GeneratorConfig(5, seed=1)),
+}
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_frozen_values(self, name):
+        assert_value_semantics(*VALUES[name])
+
+    def test_network_equality_ignores_support_cap(self):
+        net = BooleanNetwork(("a",), (Var(0),), support_cap=1)
+        assert net == BooleanNetwork(("a",), (Var(0),)) and net.support_cap == 1
+
+    def test_records_compare_by_fields_and_are_unhashable(self):
+        def result(elapsed):
+            return EnumerationResult([ArcSetSolution((), S("--"))], "complete", 1, 2, elapsed)
+
+        assert result(0.5) == result(0.5) and result(0.5) != result(0.25)
+        bound = CyclicLowerBound(count=1, witnesses=[S("1-")], oscillating_candidates=[["b"]],
+                                 complete=True)
+        assert bound == CyclicLowerBound(1, [S("1-")], [["b"]], True)
+        assert repr(bound) == ("CyclicLowerBound(count=1, witnesses=[Subspace(n=2, mask=2, "
+                               "vals=2)], oscillating_candidates=[['b']], complete=True)")
+        for record, field in ((result(0.5), "stop"), (bound, "complete")):
+            with pytest.raises(TypeError):
+                hash(record)
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 class TestPartialOrder:
