@@ -2,17 +2,31 @@
 compare, hash and print by their fields and refuse assignment.
 
 Each subclass declares ``__slots__`` for all of its state and ``_fields``,
-the slots that equality, hashing and ``repr`` read, in order. Its
-``__init__`` sets each slot once with ``object.__setattr__``. A record
-that holds mutable values sets ``__hash__ = None``. The methods are
-written once here rather than generated per class, so importing the
-package builds no code at run time and loads no introspection modules.
+the slots that the shared ``__init__`` binds, by position or by name, and
+that equality, hashing and ``repr`` read, in order. A class whose
+constructor checks its arguments or has defaults writes its own. A record
+that holds mutable values sets ``__hash__ = None``. Nothing is generated
+per class, so importing the package loads no introspection modules.
 """
 
 
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    # an index, not zip: zip's pairs add about a quarter to each Var built per parsed literal
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            if len(args) > len(fields) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}; got "
+                                f"{len(args)} by position and {list(kwargs)} by name")
+            args += tuple([kwargs[name] for name in rest])
+        i = 0
+        for name in fields:
+            object.__setattr__(self, name, args[i])
+            i += 1
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

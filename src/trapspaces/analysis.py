@@ -15,6 +15,7 @@ from .space import (
     BooleanNetwork,
     Subspace,
     is_trap_space,
+    require_width,
     smallest_enclosing_subspace,
     subspace_leq,
 )
@@ -29,13 +30,6 @@ class ReducedNetwork(Value):
     network: BooleanNetwork
     # parent variable index -> reduced index, for the free variables
     index_map: dict[int, int]
-
-    def __init__(self, parent: BooleanNetwork, fixing: Subspace, network: BooleanNetwork,
-                 index_map: dict[int, int]):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "fixing", fixing)
-        object.__setattr__(self, "network", network)
-        object.__setattr__(self, "index_map", index_map)
 
     def embed_state(self, reduced_state: int) -> int:
         """Map a reduced state back to the parent state it represents."""
@@ -54,6 +48,7 @@ def reduce(net: BooleanNetwork, p: Subspace, unchecked: bool = False) -> Reduced
     Requires ``p`` to be a trap space (the reduction is only sound as a
     dynamics-preserving step for trap sets); pass unchecked=True to bypass.
     """
+    require_width(net, p)
     if not unchecked and not is_trap_space(net, p):
         raise NotATrapSpaceError(f"{p} is not a trap space of the network")
     free = p.free_vars()
@@ -75,13 +70,6 @@ class CyclicLowerBound(Value):
     # False when --limit truncated the minimal trap spaces: the count may
     # then include non-minimal spaces and is no sound bound
     complete: bool
-
-    def __init__(self, count: int, witnesses: list[Subspace],
-                 oscillating_candidates: list[list[str]], complete: bool):
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "oscillating_candidates", oscillating_candidates)
-        object.__setattr__(self, "complete", complete)
 
 
 def cyclic_attractor_lower_bound(
@@ -112,15 +100,6 @@ class CommitmentTable(Value):
     sync_cyclic_counts: Optional[list[int]]
     async_cyclic_counts: Optional[list[int]]
     complete: bool  # False when the limit truncated the spaces or steady states
-
-    def __init__(self, spaces: list[Subspace], steady_counts: list[int],
-                 sync_cyclic_counts: Optional[list[int]],
-                 async_cyclic_counts: Optional[list[int]], complete: bool):
-        object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "steady_counts", steady_counts)
-        object.__setattr__(self, "sync_cyclic_counts", sync_cyclic_counts)
-        object.__setattr__(self, "async_cyclic_counts", async_cyclic_counts)
-        object.__setattr__(self, "complete", complete)
 
 
 def commitment_table(
@@ -178,11 +157,6 @@ class SpaceAudit(Value):
     attractor_count: int
     tight: list[bool]  # per contained attractor: enclosing subspace equals the space
 
-    def __init__(self, space: Subspace, attractor_count: int, tight: list[bool]):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "attractor_count", attractor_count)
-        object.__setattr__(self, "tight", tight)
-
 
 class AttractorAudit(Value):
     __slots__ = _fields = ("rule", "per_space", "outside", "complete")
@@ -191,13 +165,6 @@ class AttractorAudit(Value):
     per_space: list[SpaceAudit]
     outside: list[list[int]]  # attractors contained in no minimal trap space
     complete: bool  # False when the limit truncated the minimal trap spaces
-
-    def __init__(self, rule: str, per_space: list[SpaceAudit], outside: list[list[int]],
-                 complete: bool):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "per_space", per_space)
-        object.__setattr__(self, "outside", outside)
-        object.__setattr__(self, "complete", complete)
 
 
 def attractor_trapspace_audit(

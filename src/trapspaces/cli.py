@@ -27,7 +27,7 @@ from ._value import Value
 from .errors import (CapExceededError, SolverTimeoutError, SupportTooLargeError,
                      TrapSpacesError)
 from .primes import build_graph
-from .space import BooleanNetwork, Subspace, pattern
+from .space import BooleanNetwork, Subspace, smallest_enclosing_subspace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -244,15 +244,9 @@ def _cmd_attractors(args) -> _Result:
     net = _load(args)
     attrs = _dynamics.attractors(_dynamics.build_stg(net, args.update, args.stg_cap))
     state_format = f"0{net.n}b"
-    full = (1 << net.n) - 1
     rows, doc = [], []
     for a in attrs:
-        # the smallest enclosing subspace fixes what no state changes
-        first = a[0]
-        varying = 0
-        for x in a:
-            varying |= x ^ first
-        enclosing = pattern(net.n, full ^ varying, first)
+        enclosing = str(smallest_enclosing_subspace(a, net.n))
         states = [format(x, state_format) for x in a[:64]]
         doc.append({"size": len(a), "enclosing": enclosing, "states": states})
         more = f" ... ({len(a) - 64} more)" if len(a) > 64 else ""
@@ -262,11 +256,7 @@ def _cmd_attractors(args) -> _Result:
 
 def _cmd_reduce(args) -> _Result:
     net = _load(args)
-    p = Subspace.from_str(args.space)
-    if p.n != net.n:
-        raise TrapSpacesError(f"pattern has {p.n} positions but the network "
-                              f"has {net.n} variables")
-    reduced = _analysis.reduce(net, p, unchecked=args.unchecked)
+    reduced = _analysis.reduce(net, Subspace.from_str(args.space), unchecked=args.unchecked)
     return _Result(_bnet.write_network(reduced.network))
 
 

@@ -48,11 +48,6 @@ class StateTransitionGraph(Value):
     n: int
     successors: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rule: str, n: int, successors: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "successors", successors)
-
 
 def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> StateTransitionGraph:
     """Explicit transition graph under the synchronous or asynchronous rule;

@@ -53,16 +53,10 @@ class Var(Expression):
     __slots__ = _fields = ("index",)
     index: int
 
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
-
 
 class Not(Expression):
     __slots__ = _fields = ("child",)
     child: Expression
-
-    def __init__(self, child: Expression):
-        object.__setattr__(self, "child", child)
 
 
 class And(Expression):

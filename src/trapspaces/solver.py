@@ -50,10 +50,6 @@ class ArcSetSolution(Value):
     arc_ids: tuple[int, ...]
     induced: Subspace
 
-    def __init__(self, arc_ids: tuple[int, ...], induced: Subspace):
-        object.__setattr__(self, "arc_ids", arc_ids)
-        object.__setattr__(self, "induced", induced)
-
 
 def _heads(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> int:
     """The literal mask of the heads of ``arc_ids``; raises KeyError at an
@@ -301,14 +297,6 @@ class EnumerationResult(Value):
     iterations: int
     nodes: int
     elapsed: float
-
-    def __init__(self, solutions: list[ArcSetSolution], stop: str, iterations: int,
-                 nodes: int, elapsed: float):
-        object.__setattr__(self, "solutions", solutions)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "iterations", iterations)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def complete(self) -> bool:

@@ -227,6 +227,7 @@ class BooleanNetwork(Value):
         """Constant value of the i-th function restricted to ``p``, if any: its
         table rows inside ``p`` are the AND of the columns (``expr._column``)
         of the variables ``p`` fixes, complemented where fixed at 0."""
+        require_width(self, p)
         support, table = (self._tables or self.tables())[i]
         k = len(support)
         rows = (1 << (1 << k)) - 1
@@ -240,6 +241,12 @@ class BooleanNetwork(Value):
         if hit == rows:
             return 1
         return 0 if hit == 0 else None
+
+
+def require_width(net: BooleanNetwork, p: Subspace) -> None:
+    """Raise TrapSpacesError unless ``p`` has one position per variable."""
+    if p.n != net.n:
+        raise TrapSpacesError(f"pattern has {p.n} positions but the network has {net.n} variables")
 
 
 def image_subspace(net: BooleanNetwork, p: Subspace) -> Subspace:

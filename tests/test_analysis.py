@@ -10,7 +10,7 @@ from trapspaces.analysis import (
     reduce,
 )
 from trapspaces.dynamics import attractors, brute_force_trap_spaces, build_stg
-from trapspaces.errors import NotATrapSpaceError
+from trapspaces.errors import NotATrapSpaceError, TrapSpacesError
 from trapspaces.expr import Const, Not, Var, format_expression
 from trapspaces.space import BooleanNetwork, Subspace, subspace_leq
 
@@ -54,6 +54,13 @@ class TestReduce:
     def test_unchecked_bypasses_validation(self, example_net):
         red = reduce(example_net, S("0---"), unchecked=True)
         assert red.network.n == 3
+
+    @pytest.mark.parametrize("unchecked", [False, True])
+    @pytest.mark.parametrize("text", ["1-", "-----1"])
+    def test_pattern_of_another_width_rejected(self, example_net, text, unchecked):
+        with pytest.raises(TrapSpacesError, match=f"pattern has {len(text)} positions but "
+                                                  "the network has 4 variables"):
+            reduce(example_net, S(text), unchecked=unchecked)
 
     def test_all_variables_fixed_rejected(self, example_net):
         with pytest.raises(NotATrapSpaceError):

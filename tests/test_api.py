@@ -1,6 +1,14 @@
+import importlib
+import pkgutil
 import types
 
+import pytest
+
 import trapspaces
+from trapspaces._value import Value
+from trapspaces.analysis import CyclicLowerBound
+from trapspaces.expr import Var
+from trapspaces.solver import EnumerationResult
 
 # the names ``import trapspaces`` offers; adding or removing one is an API
 # change, so it changes this list on purpose
@@ -53,3 +61,55 @@ def test_public_names():
     names = sorted(name for name, value in vars(trapspaces).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# one-field, five-field and keyword-built records, each with its fields
+SHARED_CONSTRUCTOR = {
+    "Var": (Var, {"index": 0}),
+    "EnumerationResult": (EnumerationResult, {"solutions": [], "stop": "complete",
+                                              "iterations": 1, "nodes": 2, "elapsed": 0.5}),
+    "CyclicLowerBound": (CyclicLowerBound, {"count": 0, "witnesses": [],
+                                            "oscillating_candidates": [], "complete": True}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CONSTRUCTOR))
+def test_shared_constructor_binds_by_position_or_name(name):
+    cls, fields = SHARED_CONSTRUCTOR[name]
+    values = list(fields.values())
+    value = cls(**fields)
+    assert value == cls(*values) == cls(*values[:1], **dict(list(fields.items())[1:]))
+    assert [getattr(value, field) for field in fields] == values
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CONSTRUCTOR))
+def test_shared_constructor_refuses_wrong_arity(name):
+    cls, fields = SHARED_CONSTRUCTOR[name]
+    values = list(fields.values())
+    first = next(iter(fields))
+    bad_calls = [
+        ((), dict(list(fields.items())[1:])),  # a field missing
+        ((*values, None), {}),  # an extra positional argument
+        ((), {**fields, "unknown": None}),  # an unknown keyword
+        ((values[0],), fields),  # the first field by position and by name
+    ]
+    for args, kwargs in bad_calls:
+        with pytest.raises(TypeError, match=rf"^{name}\(\) takes the fields \('{first}',"):
+            cls(*args, **kwargs)
+
+
+def _value_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _value_classes(sub)
+
+
+def test_only_checking_or_defaulting_classes_write_a_constructor():
+    # a constructor that only binds its fields is the shared Value.__init__;
+    # the classes below check their arguments or have defaults
+    for info in pkgutil.iter_modules(trapspaces.__path__):
+        importlib.import_module(f"trapspaces.{info.name}")
+    own = sorted(cls.__name__ for cls in _value_classes(Value)
+                 if cls.__module__.startswith("trapspaces.") and "__init__" in vars(cls))
+    assert own == sorted(["Subspace", "BooleanNetwork", "Const", "And", "Or",
+                          "GeneratorConfig", "_Result"])

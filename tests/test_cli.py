@@ -252,8 +252,14 @@ class TestReduce:
         assert parse_network(out).n == 3
 
     def test_wrong_pattern_length_exits_2(self, capsys, example_file):
-        code, _, _ = run(capsys, "reduce", "--space", "1-", example_file)
+        code, _, err = run(capsys, "reduce", "--space", "1-", example_file)
         assert code == 2
+        assert "pattern has 2 positions but the network has 4 variables" in err
+
+    def test_wrong_pattern_length_exits_2_even_unchecked(self, capsys, example_file):
+        code, _, err = run(capsys, "reduce", "--space", "1-----", "--unchecked", example_file)
+        assert code == 2
+        assert "pattern has 6 positions but the network has 4 variables" in err
 
 
 class TestBound:

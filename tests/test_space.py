@@ -192,6 +192,13 @@ class TestNetworkImages:
         assert image_subspace(example_net, S("00--")) == S("00--")
         assert image_subspace(example_net, S("--11")) == S("---0")
 
+    @pytest.mark.parametrize("text", ["1-", "-----1"])
+    def test_pattern_of_another_width_rejected(self, example_net, text):
+        message = f"pattern has {len(text)} positions but the network has 4 variables"
+        for check in (is_trap_space, image_subspace):
+            with pytest.raises(TrapSpacesError, match=message):
+                check(example_net, S(text))
+
     def test_image_of_state_agrees_with_image_state(self, example_net):
         for x in range(16):
             p = Subspace.from_state(4, x)
