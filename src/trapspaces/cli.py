@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # an argument made only of 0, 1 and - is a subspace pattern such as
+        # --1-, so a value; the bare -- stays the argument separator
+        if arg_string != "--" and not arg_string.strip("01-"):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 @functools.cache
 def _parser() -> _Parser:
@@ -86,7 +93,8 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("reduce", help="divide out the fixed variables of a trap space")
     p.add_argument("--space", required=True, metavar="PATTERN",
-                   help="subspace over {0,1,-}, e.g. 1--1")
+                   help="subspace over {0,1,-}, e.g. 1--1 or --1-; a bare -- ends "
+                   "the options, so the whole space of two variables is --space=--")
     p.add_argument("--unchecked", action="store_true",
                    help="skip the trap-space precondition")
     p.add_argument("file")

@@ -5,6 +5,10 @@ walk) and syntactic support.
 Concrete syntax: identifiers ``[A-Za-z_][A-Za-z0-9_]*``, negation ``!``,
 conjunction ``&``, disjunction ``|``, constants ``0``/``1`` and parentheses.
 Precedence is ``!`` > ``&`` > ``|``; both binary operators are n-ary in the AST.
+The parser has two routes to one tree: a sum of products of literals
+without parentheses, the form ``randgen`` writes, is split on ``|`` and
+``&`` directly; all other text, and every text with an error, goes to an
+operator-precedence parser, the only one that reports errors.
 All nodes are immutable, so one node may be shared by many trees. Every
 producer of ASTs builds each literal once per expression: in what the parser, the
 random generator (``randgen``) and ``restrict`` return, every
@@ -79,8 +83,9 @@ class Or(Expression):
         object.__setattr__(self, "children", children)
 
 
+_LITERAL_RE = re.compile(r"!?[A-Za-z_][A-Za-z0-9_]*")  # an identifier or its negation
 # a negated identifier is one token, so it costs one step of the parse
-_TOKEN_RE = re.compile(r"!?[A-Za-z_][A-Za-z0-9_]*|[01]|\S")
+_TOKEN_RE = re.compile(_LITERAL_RE.pattern + r"|[01]|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_]")
 _TOKEN_START_RE = re.compile(r"[A-Za-z_01!&|()]")  # else an unexpected character
 
@@ -111,14 +116,60 @@ def parse_expression(text: str, vocabulary: Sequence[str] | Mapping[str, int]) -
     A caller parsing many expressions over one vocabulary passes the
     name-to-index mapping, built once.
 
-    One scan and one operator-precedence pass with an explicit stack: an
-    open parenthesis pushes the enclosing (or_terms, and_factors,
-    pending_nots) frame and its closing one pops it. The literals are
-    shared nodes: every occurrence of a variable ``v`` in the text is one
-    ``Var`` node, and every ``!v`` one ``Not`` node over it.
+    Two routes give the same tree. A sum of products without parentheses,
+    whose ``|``-separated terms split on ``&`` into literals (``0``, ``1``,
+    ``v`` or ``!v`` with ``v`` in the vocabulary, each with any whitespace
+    around it), is split directly (``_sum_of_products``). Every other text,
+    and every text that misses the first route anywhere, goes to the
+    general parser (``_parse_general``), so that parser alone reports
+    errors and their positions. The literals are shared nodes: every
+    occurrence of a variable ``v`` in the text is one ``Var`` node, and
+    every ``!v`` one ``Not`` node over it.
     """
     index_of = (vocabulary if isinstance(vocabulary, Mapping)
                 else {name: i for i, name in enumerate(vocabulary)})
+    if "(" not in text:
+        f = _sum_of_products(text, index_of)
+        if f is not None:
+            return f
+    return _parse_general(text, index_of)
+
+
+def _sum_of_products(text: str, index_of: Mapping[str, int]) -> Optional[Expression]:
+    """The AST of a parenthesis-free sum of products of literals, built
+    with ``str.split`` and ``str.strip``; None for any other text. Each
+    distinct literal is looked up and built once."""
+    nodes = {"0": FALSE, "1": TRUE}
+    terms = []
+    for term in text.split("|"):
+        factors = []
+        for piece in term.split("&"):
+            piece = piece.strip()  # str.strip drops exactly what the tokenizer skips
+            node = nodes.get(piece)
+            if node is None:
+                if not _LITERAL_RE.fullmatch(piece):
+                    return None
+                negated = piece[0] == "!"
+                name = piece[1:] if negated else piece
+                node = nodes.get(name)
+                if node is None:
+                    if name not in index_of:
+                        return None
+                    node = nodes[name] = Var(index_of[name])
+                if negated:
+                    node = nodes[piece] = Not(node)
+            factors.append(node)
+        terms.append(_join(And, factors))
+    return _join(Or, terms)
+
+
+def _parse_general(text: str, index_of: Mapping[str, int]) -> Expression:
+    """Parse any text, or raise the error at its first fault.
+
+    One scan and one operator-precedence pass with an explicit stack: an
+    open parenthesis pushes the enclosing (or_terms, and_factors,
+    pending_nots) frame and its closing one pops it.
+    """
     tokens = _TOKEN_RE.findall(text)
     # operand token -> its node; "!" + operand token -> the shared negation
     nodes = {"0": FALSE, "1": TRUE}

@@ -16,6 +16,9 @@ from trapspaces.space import Subspace
 from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, corpus, fixture_path
 
 
+MODEL_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "example.bnet")
+
+
 def run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
@@ -260,6 +263,17 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "--space", "1-----", "--unchecked", example_file)
         assert code == 2
         assert "pattern has 6 positions but the network has 4 variables" in err
+
+    def test_pattern_starting_with_a_dash_is_a_value(self, capsys):
+        code, _, err = run(capsys, "reduce", "--space", "-----1", MODEL_EXAMPLE)
+        assert code == 2
+        assert "pattern has 6 positions but the network has 4 variables" in err
+        for extra in ((), ("--unchecked",)):
+            apart = run(capsys, "reduce", "--space", "--1-", *extra, MODEL_EXAMPLE)
+            joined = run(capsys, "reduce", "--space=--1-", *extra, MODEL_EXAMPLE)
+            assert apart == joined
+            assert apart[0] == (0 if extra else 2)
+        assert run(capsys, "reduce", "--space", "----", MODEL_EXAMPLE)[1] == EXAMPLE_TEXT
 
 
 class TestBound:

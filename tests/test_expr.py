@@ -8,11 +8,12 @@ from trapspaces import expr, parse_network, write_network
 from trapspaces.errors import (
     ExpressionSyntaxError,
     SupportTooLargeError,
+    TrapSpacesError,
     UnknownVariableError,
 )
 from trapspaces.space import Subspace
 
-from conftest import assert_value_semantics, dense, expressions, literal_nodes
+from conftest import assert_value_semantics, corpus, dense, expressions, literal_nodes
 from reference import (constant_value, contains_state, essential_support, evaluate,
                        format_expression, mentioned_variables)
 
@@ -167,6 +168,83 @@ class TestParsing:
     def test_format_round_trip(self, f):
         vocab = tuple(f"x{i}" for i in range(N))
         assert parse(expr.format_expression(f, vocab), vocab) == f
+
+
+# "1v" is in the vocabulary but is no identifier: the text "1v" is the two
+# tokens "1" and "v", so no route may resolve it to a variable
+ROUTE_VOCAB = {name: i for i, name in enumerate(("v1", "v2", "v3", "1v"))}
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\x1c"])
+_LITERALS = st.sampled_from(["v1", "!v1", "v2", "!v2", "v3", "0", "1"])
+_MISSES = st.sampled_from(["1v", "x", "!x", "! v1", "!!v2", "!1", "v1 v2", "01", "+", "",
+                           "v1)"])
+
+
+def _sums_of_products(pieces):
+    padded = st.tuples(_PADDING, pieces, _PADDING).map("".join)
+    terms = st.lists(padded, min_size=1, max_size=4).map("&".join)
+    return st.lists(terms, min_size=1, max_size=4).map("|".join)
+
+
+# sums of products, then the same with pieces that miss the front door, and
+# free mixtures of the tokens
+ROUTE_TEXTS = st.one_of(
+    _sums_of_products(_LITERALS),
+    _sums_of_products(st.one_of(_LITERALS, _MISSES)),
+    st.lists(st.sampled_from(["v1", "v2", "x", "1v", "!", "&", "|", "0", "1", " ", "\t",
+                              "\u00a0", "\x1c", "+", "("]), max_size=12).map("".join),
+)
+
+
+def _outcome(parser, text):
+    """The tree ``parser`` builds from ``text`` with its node sharing (each
+    node in preorder as the index of its first occurrence), or the type,
+    message and position of the error it raises."""
+    try:
+        f = parser(text, ROUTE_VOCAB)
+    except TrapSpacesError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    first, sharing, stack = {}, [], [f]
+    while stack:
+        g = stack.pop()
+        sharing.append(first.setdefault(id(g), len(first)))
+        if isinstance(g, (expr.And, expr.Or)):
+            stack.extend(reversed(g.children))
+        elif isinstance(g, expr.Not):
+            stack.append(g.child)
+    return f, sharing
+
+
+def _is_sum_of_products(text):
+    """Whether ``text`` has no '(' and each '&'-piece of each '|'-term is,
+    stripped, 0, 1, v or !v with v an identifier in the vocabulary."""
+    pieces = [piece.strip() for term in text.split("|") for piece in term.split("&")]
+    return "(" not in text and all(
+        piece in ("0", "1")
+        or (name := piece.removeprefix("!")) in ROUTE_VOCAB and name.isascii()
+        and name.isidentifier()
+        for piece in pieces)
+
+
+class TestParsingRoutes:
+    @settings(max_examples=500, deadline=None)
+    @given(text=ROUTE_TEXTS)
+    def test_front_door_agrees_with_the_general_parser(self, text):
+        assert _outcome(expr.parse_expression, text) == _outcome(expr._parse_general, text)
+        taken = expr._sum_of_products(text, ROUTE_VOCAB) is not None
+        assert taken == _is_sum_of_products(text)
+
+    def test_benchmarked_texts_take_the_front_door(self, monkeypatch):
+        # the inputs of both benchmark workloads (dense-export and the
+        # corpus that corpus-check draws from) never reach the general parser
+        nets = dense() + list(corpus(200))
+        texts = [write_network(net) for net in nets]
+
+        def general(text, index_of):
+            raise AssertionError(f"general parser called on {text!r}")
+
+        monkeypatch.setattr(expr, "_parse_general", general)
+        for net, text in zip(nets, texts):
+            assert parse_network(text) == net
 
 
 class TestEvaluate:
