@@ -7,8 +7,9 @@ conjunction ``&``, disjunction ``|``, constants ``0``/``1`` and parentheses.
 Precedence is ``!`` > ``&`` > ``|``; both binary operators are n-ary in the AST.
 The parser has two routes to one tree: a sum of products of literals
 without parentheses, the form ``randgen`` writes, is split on ``|`` and
-``&`` directly; all other text, and every text with an error, goes to an
-operator-precedence parser, the only one that reports errors.
+``&`` directly; all other text, and every text with an error, goes to a
+plain operator-precedence parser, the only one that reports errors. It
+reports the first character outside the syntax before any other fault.
 All nodes are immutable, so one node may be shared by many trees. Every
 producer of ASTs builds each literal once per expression: in what the parser, the
 random generator (``randgen``) and ``restrict`` return, every
@@ -22,8 +23,7 @@ inline, so no literal costs them a call or a stack entry.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping
-from operator import length_hint
+from collections.abc import Mapping
 from typing import Optional, Sequence
 
 from ._value import Value
@@ -83,28 +83,27 @@ class Or(Expression):
         object.__setattr__(self, "children", children)
 
 
-_LITERAL_RE = re.compile(r"!?[A-Za-z_][A-Za-z0-9_]*")  # an identifier or its negation
-# a negated identifier is one token, so it costs one step of the parse
-_TOKEN_RE = re.compile(_LITERAL_RE.pattern + r"|[01]|\S")
-_IDENT_RE = re.compile(r"[A-Za-z_]")
-_TOKEN_START_RE = re.compile(r"[A-Za-z_01!&|()]")  # else an unexpected character
+_IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_]*"  # the one spelling of a variable name
+_IDENTIFIER_RE = re.compile(_IDENTIFIER)
+_LITERAL_RE = re.compile("!?" + _IDENTIFIER)  # an identifier or its negation
+_TOKEN_RE = re.compile(_IDENTIFIER + r"|\S")  # an identifier or one character
 
 # deepest nesting of open '(' and pending '!' accepted; it keeps the AST
 # walkers, which recurse once per level, far from the recursion limit
 MAX_NESTING = 200
 
 
-def _error(text: str, tokens: list, j: int, message: Optional[str]) -> Exception:
-    """The error at token ``j`` (the end if ``j == len(tokens)``; message None:
-    an unknown variable), or an unexpected character at or after it, which
-    a separate tokenizing pass would have reported first."""
+def _error(text: str, tokens: list, i: int, message: Optional[str]) -> Exception:
+    """The error at token ``i`` (message None: an unknown variable), or an
+    unexpected character at or after it, which is reported first."""
     starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
-    for i in range(j, len(tokens)):
-        if not _TOKEN_START_RE.match(tokens[i]):
-            return ExpressionSyntaxError(f"unexpected character {tokens[i]!r}", starts[i])
+    for j in range(i, len(tokens) - 1):  # every token but the end marker
+        # a token that is no identifier is one character
+        if not (_IDENTIFIER_RE.match(tokens[j]) or tokens[j] in "01!&|()"):
+            return ExpressionSyntaxError(f"unexpected character {tokens[j]!r}", starts[j])
     if message is None:
-        return UnknownVariableError(tokens[j].lstrip("!"))
-    return ExpressionSyntaxError(message, starts[j])
+        return UnknownVariableError(tokens[i])
+    return ExpressionSyntaxError(message, starts[i])
 
 
 def _join(kind: type, items: list) -> Expression:
@@ -166,96 +165,74 @@ def _sum_of_products(text: str, index_of: Mapping[str, int]) -> Optional[Express
 def _parse_general(text: str, index_of: Mapping[str, int]) -> Expression:
     """Parse any text, or raise the error at its first fault.
 
-    One scan and one operator-precedence pass with an explicit stack: an
-    open parenthesis pushes the enclosing (or_terms, and_factors,
-    pending_nots) frame and its closing one pops it.
+    One ``findall`` splits the text into identifiers and single
+    characters, and one loop reads them by operator precedence with an
+    explicit stack: an open parenthesis pushes the enclosing (or_terms,
+    and_factors, pending_nots) frame and its closing one pops it. Token
+    positions are computed only for an error.
     """
     tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end
     # operand token -> its node; "!" + operand token -> the shared negation
     nodes = {"0": FALSE, "1": TRUE}
     stack: list[tuple[list, list, int]] = []
-    terms: list = []
-    factors: list = []
+    terms, factors = [], []
     nots = depth = 0
-    # the outer loop takes operands, the inner one the operators after them;
-    # both draw from one iterator, whose remaining length locates an error
-    rest = iter(tokens)
-    for token in rest:
-        if depth == MAX_NESTING and token[0] in "!(":  # one level too deep
-            raise _error(text, tokens, _at(tokens, rest), f"nesting deeper than {MAX_NESTING}")
-        node = nodes.get(token)
-        if node is None:
+    i = -1  # the index of the token read last
+    while True:
+        # an operand, after the '!' and '(' that open it
+        i += 1
+        token = tokens[i]
+        if token == "!" or token == "(":
+            if depth == MAX_NESTING:
+                raise _error(text, tokens, i, f"nesting deeper than {MAX_NESTING}")
+            depth += 1
             if token == "!":
-                depth += 1
                 nots += 1
-                continue
-            if token == "(":
-                depth += 1
+            else:
                 stack.append((terms, factors, nots))
                 terms, factors, nots = [], [], 0
-                continue
-            if token[0] == "!":  # a negated identifier
-                node = nodes[token] = Not(_variable(text, tokens, rest, token[1:], nodes, index_of))
-            else:
-                node = _variable(text, tokens, rest, token, nodes, index_of)
+            continue
+        node = nodes.get(token)
+        if node is None:
+            if not _IDENTIFIER_RE.match(token):
+                raise _error(text, tokens, i, f"unexpected token {token!r}")
+            if token not in index_of:
+                raise _error(text, tokens, i, None)
+            node = nodes[token] = Var(index_of[token])
         if nots:
             depth -= nots
-            if token[0] != "!":  # '! v' shares the node of '!v'
-                negation = nodes.get("!" + token)
-                if negation is None:
-                    negation = nodes["!" + token] = Not(node)
-                node = negation
-                nots -= 1
-            while nots:
+            negation = nodes.get("!" + token)
+            if negation is None:
+                negation = nodes["!" + token] = Not(node)
+            node = negation
+            for _ in range(nots - 1):  # the outer negations are not shared
                 node = Not(node)
-                nots -= 1
+            nots = 0
         factors.append(node)
-        for token in rest:
-            if token == "&":
-                break
-            if token == "|":
-                terms.append(_join(And, factors))
-                factors = []
-                break
-            if token == ")" and stack:
-                terms.append(_join(And, factors))
-                node = _join(Or, terms)
-                terms, factors, nots = stack.pop()
-                depth -= 1 + nots
-                while nots:
-                    node = Not(node)
-                    nots -= 1
-                factors.append(node)
-                continue
-            token = token[:1] if token[0] == "!" else token  # the '!' of '!v'
-            raise _error(text, tokens, _at(tokens, rest),
-                         f"expected ')', found {token!r}" if stack
-                         else f"unexpected token {token!r}")
-        else:  # the text ends after an operand
-            if stack:
-                raise _error(text, tokens, len(tokens), "expected ')', found ''")
+        # the operators after it
+        i += 1
+        token = tokens[i]
+        while token == ")" and stack:
+            terms.append(_join(And, factors))
+            node = _join(Or, terms)
+            terms, factors, pending = stack.pop()
+            depth -= 1 + pending
+            for _ in range(pending):
+                node = Not(node)
+            factors.append(node)
+            i += 1
+            token = tokens[i]
+        if token == "|":
+            terms.append(_join(And, factors))
+            factors = []
+        elif token != "&":
+            if token or stack:
+                raise _error(text, tokens, i,
+                             f"expected ')', found {token!r}" if stack
+                             else f"unexpected token {token!r}")
             terms.append(_join(And, factors))
             return _join(Or, terms)
-    raise _error(text, tokens, len(tokens), "unexpected token ''")
-
-
-def _at(tokens: list, rest: Iterator[str]) -> int:
-    """The index in ``tokens`` of the token last drawn from ``rest``."""
-    return len(tokens) - length_hint(rest) - 1
-
-
-def _variable(text: str, tokens: list, rest: Iterator[str], name: str, nodes: dict,
-              index_of: Mapping[str, int]) -> Var:
-    """The one ``Var`` of identifier ``name`` (the token last drawn from
-    ``rest``, or its negation), stored in ``nodes`` on its first occurrence."""
-    node = nodes.get(name)
-    if node is None:
-        if not _IDENT_RE.match(name):
-            raise _error(text, tokens, _at(tokens, rest), f"unexpected token {name!r}")
-        if name not in index_of:
-            raise _error(text, tokens, _at(tokens, rest), None)
-        node = nodes[name] = Var(index_of[name])
-    return node
 
 
 def format_expression(f: Expression, vocabulary: Sequence[str]) -> str:

@@ -26,6 +26,27 @@ def parse(text, vocab=VOCAB):
     return expr.parse_expression(text, vocab)
 
 
+def _scan(text):
+    """The start of every token of ``text`` up to its first character
+    outside the syntax, and that character's position (None if none)."""
+    starts, i = [], 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        starts.append(i)
+        if c.isascii() and (c.isalpha() or c == "_"):  # an identifier
+            i += 1
+            while i < len(text) and text[i].isascii() and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+        elif c in "01!&|()":
+            i += 1
+        else:
+            return starts, i
+    return starts, None
+
+
 class TestParsing:
     def test_disjunction(self):
         assert parse("v1 | v2") == expr.Or((expr.Var(0), expr.Var(1)))
@@ -88,6 +109,14 @@ class TestParsing:
         ("v1 bogus", "unexpected token 'bogus'", 3),
         ("", "unexpected token ''", 0),  # empty text
         ("   ", "unexpected token ''", 3),
+        # an unexpected character is reported before any earlier fault
+        ("bogus +", "unexpected character '+'", 6),  # before an unknown variable
+        pytest.param("(" * 201 + "v1 +", "unexpected character '+'", 204,
+                     id="before-the-nesting-limit"),
+        ("v1 & \u00e9", "unexpected character '\u00e9'", 5),
+        ("v1 ! v2", "unexpected token '!'", 3),
+        ("(v1 | !)", "unexpected token ')'", 7),
+        ("((v1) v2)", "expected ')', found 'v2'", 6),
     ])
     def test_error_message_and_position(self, text, message, position):
         with pytest.raises(ExpressionSyntaxError) as info:
@@ -118,6 +147,11 @@ class TestParsing:
             parse("!" + deepest)
         assert info.value.position == expr.MAX_NESTING
         assert "nesting deeper than" in str(info.value)
+        # the limit is reported before an unknown variable inside it; for the
+        # opener '!' the text is "!" * 201 + "bogus"
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse("!" + deepest.replace("v1", "bogus"))
+        assert str(info.value) == f"nesting deeper than {expr.MAX_NESTING} (at position 200)"
 
     def test_nesting_limit_holds_for_a_repeated_negation(self):
         # the second '!v1' reuses the first one's node, yet opens a level
@@ -162,6 +196,27 @@ class TestParsing:
     def test_nesting_counts_only_open_levels(self):
         f = parse(" & ".join(["!(!v1 | (v2))"] * 3 * expr.MAX_NESTING))
         assert len(f.children) == 3 * expr.MAX_NESTING
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.lists(st.sampled_from(["v1", "v2", "bogus", "!", "&", "|", "(", ")", "0",
+                                          "1", " ", "\t", "\u00a0", "\x1c", "+", "2",
+                                          "\u00e9"]), max_size=16).map("".join))
+    def test_error_contract(self, text):
+        # the first character outside the syntax is the error; without one,
+        # every syntax error points at a token or at the end of the text
+        starts, bad = _scan(text)
+        if bad is not None:
+            with pytest.raises(ExpressionSyntaxError) as info:
+                parse(text)
+            assert str(info.value) == f"unexpected character {text[bad]!r} (at position {bad})"
+            return
+        try:
+            parse(text)
+        except ExpressionSyntaxError as exc:
+            assert exc.position in starts or exc.position == len(text)
+            assert not str(exc).startswith("unexpected character")
+        except UnknownVariableError:
+            pass
 
     @settings(max_examples=300, deadline=None)
     @given(f=expressions(N))
