@@ -27,7 +27,7 @@ from ._value import Value
 from .errors import (CapExceededError, SolverTimeoutError, SupportTooLargeError,
                      TrapSpacesError)
 from .primes import build_graph
-from .space import BooleanNetwork, Subspace, smallest_enclosing_subspace
+from .space import BooleanNetwork, Subspace, select_trap_spaces, smallest_enclosing_subspace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -316,8 +316,8 @@ def _cmd_audit(args) -> _Result:
 def _cmd_check(args) -> _Result:
     net = _load(args)
     oracle = _dynamics.brute_force_trap_spaces(net, "all", args.stg_cap)
-    oracle_min = _dynamics.select_trap_spaces(oracle, "min")
-    oracle_max = _dynamics.select_trap_spaces(oracle, "max")
+    oracle_min = select_trap_spaces(oracle, "min")
+    oracle_max = select_trap_spaces(oracle, "max")
     g = build_graph(net)
     got_min = _solver.min_trap_spaces(net, args.limit, args.timeout, graph=g)
     got_max = _solver.max_trap_spaces(net, args.limit, args.timeout, graph=g)
@@ -331,16 +331,16 @@ def _cmd_check(args) -> _Result:
         ("max", got_max.spaces, got_max.stop, oracle_max),
         ("steady", got_steady[:args.limit], _cut(got_steady, args.limit), oracle_steady),
     ]:
-        got_text = sorted(map(str, got))
-        expected_text = sorted(map(str, expected))
+        # both lists are sorted by pattern
         if got_stop == "complete":
-            ok = got_text == expected_text
+            ok = got == expected
         else:
             # a list cut short by --limit must still hold only oracle spaces
-            ok = set(got_text) <= set(expected_text)
+            ok = set(got) <= set(expected)
             stop = "limit"
         if not ok:
-            failures.append(f"MISMATCH {label}: solver={got_text} oracle={expected_text}")
+            failures.append(f"MISMATCH {label}: solver={list(map(str, got))} "
+                            f"oracle={list(map(str, expected))}")
     if failures:
         return _Result("", stop="mismatch", notes=tuple(failures))
     return _Result("OK\n" if stop == "complete" else "", stop=stop)

@@ -12,11 +12,13 @@ some completion alive. It branches in a preference order, so its first leaf
 is already extremal (Di Rosa, Giunchiglia & Maratea 2010): fixed values
 before free give an inclusion-maximal literal set, a minimal trap space;
 free before fixed values give an inclusion-minimal non-empty one, a maximal
-trap space. Steady states use the first order with free disallowed. Each
-space found becomes a no-good on its literal set (some fixed literal outside
-it, or some literal of it absent), and the search resumes where it stopped;
-the next leaf it reaches is extremal again. No cardinality bound or
-optimality proof is needed.
+trap space. Steady states (mode "steady") use the first order with free
+disallowed. Each space found becomes a no-good on its literal set (some
+fixed literal outside it, or some literal of it absent), and the search
+resumes where it stopped; the next leaf it reaches is extremal again. No
+cardinality bound or optimality proof is needed. That the spaces found are
+pairwise incomparable is checked at the end with the bitset selection
+``space.select_trap_spaces``, which the oracle uses too.
 
 The arc-set view is kept for witnesses and checks: a set of arcs is
 consistent when no two heads assign opposite values to one variable, and
@@ -37,7 +39,7 @@ from typing import Iterable, Optional
 from ._value import Value
 from .errors import InconsistentArcSetError, SolverTimeoutError, TrapSpacesError
 from .primes import PrimeImplicantGraph, build_graph, literals
-from .space import BooleanNetwork, Subspace
+from .space import BooleanNetwork, Subspace, select_trap_spaces
 
 DEFAULT_LIMIT = 100_000
 DEFAULT_TIMEOUT = 600.0
@@ -316,35 +318,34 @@ def enumerate_extremal(
     mode: str,
     limit: int = DEFAULT_LIMIT,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
-    require_all_vars: bool = False,
 ) -> EnumerationResult:
     """All inclusion-maximal (mode="max") or inclusion-minimal non-empty
     (mode="min") stable and consistent arc sets, one per trap space they
     induce: minimal trap spaces in max mode, maximal ones in min mode.
+    Mode "steady" is max mode with every variable induced: the steady
+    state system.
 
     Each iteration finds the next extremal space (the last one proves there
-    is none). Max-mode witnesses hold every arc compatible with the space;
-    min-mode witnesses hold, for each literal of the space, its
-    smallest-id provider whose tail lies in the space. With
-    require_all_vars, solutions must induce every variable (the steady
-    state system; max mode only). ``limit`` must be at least 1 and
+    is none). Max- and steady-mode witnesses hold every arc compatible with
+    the space; min-mode witnesses hold, for each literal of the space, its
+    smallest-id provider whose tail lies in the space. The spaces found
+    must be distinct and none may lie below another, which
+    ``select_trap_spaces`` checks. ``limit`` must be at least 1 and
     ``timeout`` (seconds) not NaN. At ``limit`` solutions it looks for one
     more leaf: if there is one, it returns the first ``limit`` flagged
     incomplete (stop "limit"). A timeout raises SolverTimeoutError carrying
     the partial list.
     """
-    if mode not in ("min", "max"):
+    if mode not in ("min", "max", "steady"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
-    if require_all_vars and mode != "max":
-        raise TrapSpacesError("require_all_vars needs mode='max'")
     if limit < 1:
         raise TrapSpacesError(f"limit must be at least 1, got {limit}")
     if timeout is not None and math.isnan(timeout):
         raise TrapSpacesError("timeout must be a number of seconds, got nan")
     start = time.monotonic()
     deadline = start + timeout if timeout is not None else None
-    search = _Search(g, fixed_first=mode == "max",
-                     allow_free=not require_all_vars, deadline=deadline)
+    search = _Search(g, fixed_first=mode != "min",
+                     allow_free=mode != "steady", deadline=deadline)
     solutions: list[ArcSetSolution] = []
     iterations = 0
 
@@ -361,7 +362,7 @@ def enumerate_extremal(
                 break
             lits, alive = leaf
             search.nogoods.append(lits)
-            ids = g.ids(alive if mode == "max" else _first_providers(g, lits, alive))
+            ids = g.ids(_first_providers(g, lits, alive) if mode == "min" else alive)
             if not (is_consistent(g, ids) and is_stable(g, ids)):
                 raise TrapSpacesError("search produced an invalid arc set")
             solutions.append(ArcSetSolution(ids, induced_subspace(g, ids)))
@@ -373,12 +374,11 @@ def enumerate_extremal(
                 break
     except SolverTimeoutError as exc:
         raise SolverTimeoutError(str(exc), result("timeout")) from None
-    # emitted spaces must be pairwise inclusion-incomparable
-    found = search.nogoods
-    for i, a in enumerate(found):
-        for b in found[i + 1:]:
-            if (a & b) in (a, b):
-                raise TrapSpacesError("enumeration produced comparable spaces")
+    # distinct (the selection keeps equal spaces) and pairwise incomparable
+    count = len(solutions)
+    if (len(set(search.nogoods)) < count
+            or len(select_trap_spaces([sol.induced for sol in solutions], "min")) < count):
+        raise TrapSpacesError("enumeration produced comparable spaces")
     return result(stop)
 
 
@@ -420,4 +420,4 @@ def steady_states(
     solutions of the arc-set constraint system (computed independently of
     min_trap_spaces)."""
     g = graph if graph is not None else build_graph(net)
-    return enumerate_extremal(g, "max", limit, timeout, require_all_vars=True).spaces
+    return enumerate_extremal(g, "steady", limit, timeout).spaces

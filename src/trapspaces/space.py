@@ -110,6 +110,60 @@ def subspace_leq(p: Subspace, q: Subspace) -> bool:
     return (q.mask & ~p.mask) == 0 and (p.vals & q.mask) == q.vals
 
 
+def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:
+    """The spaces of ``mode`` among all trap spaces ``spaces``, sorted by text.
+
+    mode="all" keeps every one, "min" the inclusion-minimal ones and "max"
+    the inclusion-maximal ones strictly below the whole space.
+
+    The spaces are visited most fixed first for "min" and fewest fixed
+    first for "max", so every space strictly below (above) a space comes
+    before it, at a level of the fixed count other than its own, and when
+    there is one, an extremal one among them has been kept. A space is
+    dropped iff a kept space of an earlier level lies strictly below
+    (above) it, tested against all of them at once: bit i of
+    ``fixed[b][c]`` is set iff the i-th kept space fixes the variable of
+    mask bit b at c, and of ``free[b]`` iff it leaves that variable free.
+    """
+    if mode == "all":
+        return sorted(spaces, key=str)
+    if mode not in ("min", "max"):
+        raise TrapSpacesError(f"unknown mode {mode!r}")
+    lower = mode == "min"
+    if not lower:
+        spaces = [p for p in spaces if p.mask]
+    n = spaces[0].n if spaces else 0
+    fixed = [[0, 0] for _ in range(n)]
+    free = [0] * n
+    kept: list[Subspace] = []
+    level = -1
+    for p in sorted(spaces, key=lambda p: p.mask.bit_count(), reverse=lower):
+        if p.mask.bit_count() != level:
+            level = p.mask.bit_count()
+            earlier = (1 << len(kept)) - 1
+        # those below p fix what p fixes, to the same values; those above
+        # fix nothing that p leaves free or fixes otherwise
+        found = earlier
+        for b in range(n):
+            if not found:
+                break
+            if p.mask >> b & 1:
+                c = p.vals >> b & 1
+                found &= fixed[b][c] if lower else ~fixed[b][1 - c]
+            elif not lower:
+                found &= free[b]
+        if found:
+            continue
+        bit = 1 << len(kept)
+        kept.append(p)
+        for b in range(n):
+            if p.mask >> b & 1:
+                fixed[b][p.vals >> b & 1] |= bit
+            else:
+                free[b] |= bit
+    return sorted(kept, key=str)
+
+
 def pattern(n: int, mask: int, vals: int) -> str:
     """The text form of the subspace fixing ``mask`` at ``vals`` (whose free
     bits are ignored): the one subspace renderer, for ``str`` and the CLI."""

@@ -794,3 +794,16 @@ def test_import_loads_no_process_pool_and_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_solver_import_loads_no_oracle():
+    # the solver must not depend on the oracle that checks it; the package's
+    # __init__ imports every module, so the solver loads under a bare package
+    code = ("import importlib.util, sys, types; pkg = types.ModuleType('trapspaces'); "
+            "pkg.__path__ = importlib.util.find_spec('trapspaces').submodule_search_locations; "
+            "sys.modules['trapspaces'] = pkg; import trapspaces.solver; "
+            "print([m in sys.modules for m in ('trapspaces.solver', 'trapspaces.dynamics')])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out == "[True, False]\n"

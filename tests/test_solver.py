@@ -123,13 +123,9 @@ class TestEnumerateExtremal:
             assert result.complete
             assert result.solutions == []
 
-    def test_require_all_vars(self, example_graph):
-        result = enumerate_extremal(example_graph, "max", require_all_vars=True)
+    def test_steady_mode_induces_every_variable(self, example_graph):
+        result = enumerate_extremal(example_graph, "steady")
         assert [str(s.induced) for s in result.solutions] == ["1101"]
-
-    def test_require_all_vars_only_in_max_mode(self, example_graph):
-        with pytest.raises(TrapSpacesError):
-            enumerate_extremal(example_graph, "min", require_all_vars=True)
 
     def test_unknown_mode(self, example_graph):
         with pytest.raises(TrapSpacesError):
@@ -227,6 +223,17 @@ class TestSelfChecks:
         self.replay(monkeypatch, [leaf, leaf])
         with pytest.raises(TrapSpacesError, match="comparable spaces"):
             enumerate_extremal(example_graph, "max")
+
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_a_leaf_strictly_comparable_to_an_earlier_one(self, example_graph, mode,
+                                                          monkeypatch):
+        # the minimal trap space 1101 lies strictly below the maximal one 1---
+        lower = _recorded_leaves(example_graph, "max")[0]
+        upper = _recorded_leaves(example_graph, "min")[0]
+        for leaves in ([lower, upper], [upper, lower]):
+            self.replay(monkeypatch, leaves)
+            with pytest.raises(TrapSpacesError, match="comparable spaces"):
+                enumerate_extremal(example_graph, mode)
 
     def test_max_mode_leaf_with_every_arc_alive(self, example_graph, monkeypatch):
         # a10 and a11 assign opposite values to v4
@@ -337,8 +344,8 @@ def test_golden_search_hash():
     digest = hashlib.sha256()
     for net in [*corpus(200), *nk]:
         g = build_graph(net)
-        for mode, steady in (("max", False), ("min", False), ("max", True)):
-            r = enumerate_extremal(g, mode, require_all_vars=steady)
+        for mode in ("max", "min", "steady"):
+            r = enumerate_extremal(g, mode)
             digest.update(repr((
                 [(sol.arc_ids, str(sol.induced)) for sol in r.solutions],
                 r.iterations, r.nodes, r.stop,
