@@ -206,8 +206,9 @@ def brute_force_trap_spaces(
     trailing variables' agreement columns folded over the node's states.
     For n <= L the walk has depth 0 and only that kernel runs.
 
-    Mode "all" returns the spaces in pattern order, the order of their
-    text; ``mode`` selects among them as in ``space.select_trap_spaces``.
+    Mode "all" returns every trap space in pattern order, the order of
+    their text; "min" and "max" keep the extremal ones of that list
+    (``space.select_trap_spaces``), in the same order.
     """
     if mode not in ("all", "min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")

@@ -16,9 +16,11 @@ trap space. Steady states (mode "steady") use the first order with free
 disallowed. Each space found becomes a no-good on its literal set (some
 fixed literal outside it, or some literal of it absent), and the search
 resumes where it stopped; the next leaf it reaches is extremal again. No
-cardinality bound or optimality proof is needed. That the spaces found are
-pairwise incomparable is checked at the end with the bitset selection
-``space.select_trap_spaces``, which the oracle uses too.
+cardinality bound or optimality proof is needed. Each leaf's witness is
+walked once and must induce exactly the leaf's literal set, the space its
+no-good records. That the spaces found are pairwise incomparable is checked
+at the end with the bitset selection ``space.select_trap_spaces``, which
+the oracle uses too.
 
 The arc-set view is kept for witnesses and checks: a set of arcs is
 consistent when no two heads assign opposite values to one variable, and
@@ -53,46 +55,39 @@ class ArcSetSolution(Value):
     induced: Subspace
 
 
-def _heads(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> int:
-    """The literal mask of the heads of ``arc_ids``; raises KeyError at an
-    unknown id and InconsistentArcSetError at the first head that assigns
-    a variable the opposite of an earlier one."""
-    heads = 0
-    for a in arc_ids:
-        if not 1 <= a <= g.m:
-            raise KeyError(f"unknown arc id {a}")
-        lit = g.head_lit[a - 1]
-        if heads >> (lit ^ 1) & 1:
-            raise InconsistentArcSetError(
-                f"arcs assign both values to variable index {lit >> 1}"
-            )
-        heads |= 1 << lit
-    return heads
-
-
-def is_consistent(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
-    """True iff no two heads assign the same variable opposite values."""
-    try:
-        _heads(g, arc_ids)
-    except InconsistentArcSetError:
-        return False
-    return True
-
-
-def is_stable(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
-    """True iff every tail literal of every arc is the head of some arc."""
+def _walk(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> tuple[int, int, int]:
+    """One walk over ``arc_ids``: the literal masks of their heads and of
+    their tails, and the even bits 2v of the variables v whose two
+    literals are both heads. Raises KeyError at an unknown id."""
     heads = tails = 0
     for a in arc_ids:
         if not 1 <= a <= g.m:
             raise KeyError(f"unknown arc id {a}")
         heads |= 1 << g.head_lit[a - 1]
         tails |= g.tail_litmask[a - 1]
+    return heads, tails, heads & heads >> 1 & ((1 << 2 * g.n) - 1) // 3
+
+
+def is_consistent(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
+    """True iff no two heads assign the same variable opposite values."""
+    return not _walk(g, arc_ids)[2]
+
+
+def is_stable(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> bool:
+    """True iff every tail literal of every arc is the head of some arc."""
+    heads, tails, _ = _walk(g, arc_ids)
     return not tails & ~heads
 
 
 def induced_subspace(g: PrimeImplicantGraph, arc_ids: Iterable[int]) -> Subspace:
-    """Intersection of all selected head literals; whole space for the empty set."""
-    return Subspace.from_items(g.n, literals(_heads(g, arc_ids)))
+    """Intersection of all selected head literals; whole space for the empty
+    set. Raises InconsistentArcSetError if the heads clash."""
+    heads, _, both = _walk(g, arc_ids)
+    if both:
+        raise InconsistentArcSetError(
+            f"arcs assign both values to variable index {(both.bit_length() - 1) >> 1}"
+        )
+    return Subspace.from_items(g.n, literals(heads))
 
 
 class _Infeasible(Exception):
@@ -328,9 +323,10 @@ def enumerate_extremal(
     Each iteration finds the next extremal space (the last one proves there
     is none). Max- and steady-mode witnesses hold every arc compatible with
     the space; min-mode witnesses hold, for each literal of the space, its
-    smallest-id provider whose tail lies in the space. The spaces found
-    must be distinct and none may lie below another, which
-    ``select_trap_spaces`` checks. ``limit`` must be at least 1 and
+    smallest-id provider whose tail lies in the space. A witness must be
+    consistent and stable, and its heads must be the leaf's literal set.
+    The spaces found must be distinct and none may lie below another,
+    which ``select_trap_spaces`` checks. ``limit`` must be at least 1 and
     ``timeout`` (seconds) not NaN. At ``limit`` solutions it looks for one
     more leaf: if there is one, it returns the first ``limit`` flagged
     incomplete (stop "limit"). A timeout raises SolverTimeoutError carrying
@@ -363,9 +359,11 @@ def enumerate_extremal(
             lits, alive = leaf
             search.nogoods.append(lits)
             ids = g.ids(_first_providers(g, lits, alive) if mode == "min" else alive)
-            if not (is_consistent(g, ids) and is_stable(g, ids)):
+            # the witness induces exactly the space its no-good records
+            heads, tails, both = _walk(g, ids)
+            if heads != lits or tails & ~heads or both:
                 raise TrapSpacesError("search produced an invalid arc set")
-            solutions.append(ArcSetSolution(ids, induced_subspace(g, ids)))
+            solutions.append(ArcSetSolution(ids, Subspace.from_items(g.n, literals(lits))))
             if len(solutions) >= limit:
                 # the list is truncated only if one more leaf exists
                 iterations += 1

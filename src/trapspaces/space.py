@@ -111,10 +111,9 @@ def subspace_leq(p: Subspace, q: Subspace) -> bool:
 
 
 def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:
-    """The spaces of ``mode`` among all trap spaces ``spaces``, sorted by text.
-
-    mode="all" keeps every one, "min" the inclusion-minimal ones and "max"
-    the inclusion-maximal ones strictly below the whole space.
+    """The spaces of ``mode`` among all trap spaces ``spaces``, in the order
+    given: mode="min" keeps the inclusion-minimal ones (equal copies too) and
+    "max" the inclusion-maximal ones strictly below the whole space.
 
     The spaces are visited most fixed first for "min" and fewest fixed
     first for "max", so every space strictly below (above) a space comes
@@ -125,19 +124,18 @@ def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:
     ``fixed[b][c]`` is set iff the i-th kept space fixes the variable of
     mask bit b at c, and of ``free[b]`` iff it leaves that variable free.
     """
-    if mode == "all":
-        return sorted(spaces, key=str)
     if mode not in ("min", "max"):
         raise TrapSpacesError(f"unknown mode {mode!r}")
     lower = mode == "min"
-    if not lower:
-        spaces = [p for p in spaces if p.mask]
     n = spaces[0].n if spaces else 0
     fixed = [[0, 0] for _ in range(n)]
     free = [0] * n
-    kept: list[Subspace] = []
+    kept: list[int] = []  # input positions of the kept spaces
     level = -1
-    for p in sorted(spaces, key=lambda p: p.mask.bit_count(), reverse=lower):
+    order = sorted((i for i, p in enumerate(spaces) if lower or p.mask),
+                   key=lambda i: spaces[i].mask.bit_count(), reverse=lower)
+    for i in order:
+        p = spaces[i]
         if p.mask.bit_count() != level:
             level = p.mask.bit_count()
             earlier = (1 << len(kept)) - 1
@@ -155,13 +153,13 @@ def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:
         if found:
             continue
         bit = 1 << len(kept)
-        kept.append(p)
+        kept.append(i)
         for b in range(n):
             if p.mask >> b & 1:
                 fixed[b][p.vals >> b & 1] |= bit
             else:
                 free[b] |= bit
-    return sorted(kept, key=str)
+    return [spaces[i] for i in sorted(kept)]
 
 
 def pattern(n: int, mask: int, vals: int) -> str:
@@ -255,9 +253,9 @@ class BooleanNetwork(Value):
     def tables(self) -> list[tuple[tuple[int, ...], int]]:
         """Per function: its sorted syntactic support and the truth table over
         it (``expr.truth_table``), tabulated on the first call and shared by
-        every later one. The supports must fit ``support_cap``."""
+        every later one. ``truth_table`` raises SupportTooLargeError at the
+        first support above ``support_cap``."""
         if self._tables is None:
-            self.check_supports()
             object.__setattr__(self, "_tables", [
                 (support, _expr.truth_table(f, support, self.support_cap))
                 for support, f in zip(self.supports, self.functions)

@@ -269,11 +269,9 @@ def subspace_lists(max_n=6):
 def pairwise_select(spaces, mode):
     """``select_trap_spaces`` by its definition, one pair of spaces at a time."""
     if mode == "min":
-        want = [p for p in spaces if not any(q != p and subspace_leq(q, p) for q in spaces)]
-    else:
-        proper = [p for p in spaces if p.mask != 0]
-        want = [p for p in proper if not any(p != q and subspace_leq(p, q) for q in proper)]
-    return sorted(want, key=str)
+        return [p for p in spaces if not any(q != p and subspace_leq(q, p) for q in spaces)]
+    proper = [p for p in spaces if p.mask != 0]
+    return [p for p in proper if not any(p != q and subspace_leq(p, q) for q in proper)]
 
 
 class TestSelectTrapSpaces:
@@ -288,6 +286,17 @@ class TestSelectTrapSpaces:
             for mode in ("min", "max"):
                 assert select_trap_spaces(spaces, mode) == pairwise_select(spaces, mode)
 
-    def test_all_keeps_every_space(self):
-        spaces = [Subspace.from_str(t) for t in ("1-", "--", "10")]
-        assert [str(p) for p in select_trap_spaces(spaces, "all")] == ["--", "1-", "10"]
+    def test_keeps_input_order_and_equal_copies(self):
+        spaces = [Subspace.from_str(t) for t in ("1-", "0-", "10", "-1", "10", "--")]
+        assert [str(p) for p in select_trap_spaces(spaces, "min")] == ["0-", "10", "-1", "10"]
+        assert [str(p) for p in select_trap_spaces(spaces, "max")] == ["1-", "0-", "-1"]
+
+    def test_max_drops_every_copy_of_the_whole_space(self):
+        spaces = [Subspace.from_str(t) for t in ("--", "-0", "--", "--")]
+        assert [str(p) for p in select_trap_spaces(spaces, "max")] == ["-0"]
+        assert select_trap_spaces([Subspace.whole(3)] * 3, "max") == []
+
+    @pytest.mark.parametrize("mode", ["all", "steady"])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(TrapSpacesError, match="unknown mode"):
+            select_trap_spaces([Subspace.whole(2)], mode)

@@ -548,6 +548,10 @@ class TestTruthTable:
             expr.syntactic_support(f)
         with pytest.raises(TypeError):
             expr.truth_table(f, [0])
+        with pytest.raises(TypeError):
+            expr.format_expression(f, VOCAB)
+        with pytest.raises(TypeError):
+            expr.restrict(f, Subspace.from_str("-"), {0: 0})
 
 
 class TestTablesAgainstEvaluation:

@@ -242,6 +242,14 @@ class TestSelfChecks:
         with pytest.raises(TrapSpacesError, match="invalid arc set"):
             enumerate_extremal(example_graph, "max")
 
+    def test_max_mode_leaf_with_another_leafs_arcs(self, example_graph, monkeypatch):
+        # each witness is consistent and stable, but induces the other
+        # leaf's space, not the one its no-good records
+        (lits0, alive0), (lits1, alive1) = _recorded_leaves(example_graph, "max")
+        self.replay(monkeypatch, [(lits0, alive1), (lits1, alive0)])
+        with pytest.raises(TrapSpacesError, match="invalid arc set"):
+            enumerate_extremal(example_graph, "max")
+
     def test_min_mode_literal_without_an_alive_provider(self, example_graph, monkeypatch):
         lits, alive = _recorded_leaves(example_graph, "min")[0]
         low = (lits & -lits).bit_length() - 1

@@ -52,6 +52,10 @@ class TestSubspaceBasics:
         with pytest.raises(ValueError):
             Subspace(4, 0b1000, 0b1100)
 
+    def test_no_variables_rejected(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            Subspace(0, 0, 0)
+
     def test_bits_outside_vocabulary_rejected(self):
         with pytest.raises(ValueError):
             Subspace(2, 0b100, 0)
@@ -280,7 +284,16 @@ class TestNetworkImages:
 
 class TestNetworkValidation:
     def test_duplicate_names_rejected(self):
-        from trapspaces.space import BooleanNetwork
-
         with pytest.raises(ValueError):
             BooleanNetwork.from_strings([("a", "a"), ("a", "a")])
+
+    @pytest.mark.parametrize("variables, functions, message", [
+        ((), (), "at least one variable"),
+        (("a", "b"), (Var(0),), "must align"),
+        (("a",), (Var(0), Var(0)), "must align"),
+        (("a",), (Var(1),), "undeclared variable"),
+        (("a", "b"), (Var(0), Not(Var(-1))), "undeclared variable"),
+    ])
+    def test_malformed_networks_rejected(self, variables, functions, message):
+        with pytest.raises(ValueError, match=message):
+            BooleanNetwork(variables, functions)
