@@ -67,8 +67,9 @@ class CyclicLowerBound(Value):
     witnesses: list[Subspace]
     # per witness, the free variables (some of which must oscillate)
     oscillating_candidates: list[list[str]]
-    # False when --limit truncated the minimal trap spaces: the count may
-    # then include non-minimal spaces and is no sound bound
+    # False when --limit truncated the minimal trap spaces: every space
+    # listed is still minimal, so the count is still a lower bound, and a
+    # complete run may raise it
     complete: bool
 
 
@@ -119,10 +120,8 @@ def commitment_table(
     g = build_graph(net)
     report = _solver.max_trap_spaces(net, limit, timeout, graph=g)
     spaces = report.spaces
-    # one state more than the limit tells a truncated list from a full one
-    steady = _solver.steady_states(net, limit + 1, timeout, graph=g)
-    complete = report.complete and len(steady) <= limit
-    steady = steady[:limit]
+    steady, steady_stop = _solver._steady_upto(net, limit, timeout, g)
+    complete = report.complete and steady_stop == "complete"
     steady_counts = [len(inside) for inside in _inside(steady, spaces)]
     cyclic_counts = []
     for rule in ("sync", "async"):

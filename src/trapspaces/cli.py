@@ -27,7 +27,7 @@ from ._value import Value
 from .errors import (CapExceededError, SolverTimeoutError, SupportTooLargeError,
                      TrapSpacesError)
 from .primes import build_graph
-from .space import BooleanNetwork, Subspace, select_trap_spaces, smallest_enclosing_subspace
+from .space import BooleanNetwork, Subspace, select_trap_spaces
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,10 +131,6 @@ def _require_k(k: float) -> None:
     _require(math.isfinite(k) and k >= 0, "--k", "a finite non-negative number", k)
 
 
-def _load(args) -> BooleanNetwork:
-    return _bnet.load_network(args.file, args.support_cap)
-
-
 class _Result(Value):
     """What a command produced. ``text`` is its plain output and ``doc`` its
     ``--json`` document (None where it has none). ``stop`` says why it
@@ -191,11 +187,6 @@ def _lines(items) -> str:
     return "".join(f"{item}\n" for item in items)
 
 
-def _cut(items: list, limit: int) -> str:
-    """The stop reason of a list asked for one item more than ``limit``."""
-    return "limit" if len(items) > limit else "complete"
-
-
 def _spaces(net: BooleanNetwork, mode: str, spaces: list[Subspace], stop: str,
             **more) -> _Result:
     """One pattern per line; in JSON each space maps its fixed variables to
@@ -209,8 +200,7 @@ def _spaces(net: BooleanNetwork, mode: str, spaces: list[Subspace], stop: str,
     return _Result(_lines(spaces), doc, stop, notes)
 
 
-def _cmd_primes(args) -> _Result:
-    net = _load(args)
+def _cmd_primes(args, net: BooleanNetwork) -> _Result:
     names = net.variables
     rows = []
     for a, tail, (hv, hc) in build_graph(net).arcs:
@@ -219,11 +209,11 @@ def _cmd_primes(args) -> _Result:
     return _Result(_lines(rows))
 
 
-def _cmd_trapspaces(args) -> _Result:
-    net = _load(args)
+def _cmd_trapspaces(args, net: BooleanNetwork) -> _Result:
     if args.mode == "all":
         spaces = _dynamics.brute_force_trap_spaces(net, "all", args.stg_cap)
-        return _spaces(net, "all", spaces[:args.limit], _cut(spaces, args.limit))
+        stop = "limit" if len(spaces) > args.limit else "complete"
+        return _spaces(net, "all", spaces[:args.limit], stop)
     g = build_graph(net)
     fn = _solver.min_trap_spaces if args.mode == "min" else _solver.max_trap_spaces
     try:
@@ -236,40 +226,31 @@ def _cmd_trapspaces(args) -> _Result:
                    witnesses=[list(w.arc_ids) for w in result.witnesses], stats=stats)
 
 
-def _cmd_steady(args) -> _Result:
-    net = _load(args)
-    g = build_graph(net)
-    # one state more than the limit tells a truncated list from a full one
+def _cmd_steady(args, net: BooleanNetwork) -> _Result:
     try:
-        states = _solver.steady_states(net, args.limit + 1, args.timeout, graph=g)
-        stop = _cut(states, args.limit)
+        states, stop = _solver._steady_upto(net, args.limit, args.timeout, build_graph(net))
     except SolverTimeoutError as exc:
-        states, stop = exc.partial.spaces, "timeout"
-    return _spaces(net, "steady", states[:args.limit], stop)
+        states, stop = exc.partial.spaces[:args.limit], "timeout"
+    return _spaces(net, "steady", states, stop)
 
 
-def _cmd_attractors(args) -> _Result:
-    net = _load(args)
-    attrs = _dynamics.attractors(_dynamics.build_stg(net, args.update, args.stg_cap))
+def _cmd_attractors(args, net: BooleanNetwork) -> _Result:
     state_format = f"0{net.n}b"
     rows, doc = [], []
-    for a in attrs:
-        enclosing = str(smallest_enclosing_subspace(a, net.n))
+    for a, enclosing in zip(*_analysis._attractors(net, args.update, args.stg_cap)):
         states = [format(x, state_format) for x in a[:64]]
-        doc.append({"size": len(a), "enclosing": enclosing, "states": states})
+        doc.append({"size": len(a), "enclosing": str(enclosing), "states": states})
         more = f" ... ({len(a) - 64} more)" if len(a) > 64 else ""
         rows.append(f"{len(a)} {enclosing} {' '.join(states)}{more}")
     return _Result(_lines(rows), {"update": args.update, "attractors": doc})
 
 
-def _cmd_reduce(args) -> _Result:
-    net = _load(args)
+def _cmd_reduce(args, net: BooleanNetwork) -> _Result:
     reduced = _analysis.reduce(net, Subspace.from_str(args.space), unchecked=args.unchecked)
     return _Result(_bnet.write_network(reduced.network))
 
 
-def _cmd_bound(args) -> _Result:
-    net = _load(args)
+def _cmd_bound(args, net: BooleanNetwork) -> _Result:
     bound = _analysis.cyclic_attractor_lower_bound(net, args.limit, args.timeout)
     rows = [f"cyclic attractors >= {bound.count}"] + [
         f"{p} oscillating among: {' '.join(names)}"
@@ -282,8 +263,7 @@ def _cmd_bound(args) -> _Result:
     return _Result(_lines(rows), doc, "complete" if bound.complete else "limit")
 
 
-def _cmd_commitment(args) -> _Result:
-    net = _load(args)
+def _cmd_commitment(args, net: BooleanNetwork) -> _Result:
     table = _analysis.commitment_table(net, args.stg_cap, args.limit, args.timeout)
     rows = [["row"] + table.spaces, ["steady"] + table.steady_counts]
     for label, counts in (("sync-cyclic", table.sync_cyclic_counts),
@@ -294,8 +274,7 @@ def _cmd_commitment(args) -> _Result:
                    stop="complete" if table.complete else "limit")
 
 
-def _cmd_audit(args) -> _Result:
-    net = _load(args)
+def _cmd_audit(args, net: BooleanNetwork) -> _Result:
     audit = _analysis.attractor_trapspace_audit(net, args.update, stg_cap=args.stg_cap,
                                                 limit=args.limit, timeout=args.timeout)
     rows = [f"{a.space} attractors={a.attractor_count} "
@@ -313,23 +292,21 @@ def _cmd_audit(args) -> _Result:
     return _Result(_lines(rows), doc, "complete" if audit.complete else "limit")
 
 
-def _cmd_check(args) -> _Result:
-    net = _load(args)
+def _cmd_check(args, net: BooleanNetwork) -> _Result:
     oracle = _dynamics.brute_force_trap_spaces(net, "all", args.stg_cap)
     oracle_min = select_trap_spaces(oracle, "min")
     oracle_max = select_trap_spaces(oracle, "max")
     g = build_graph(net)
     got_min = _solver.min_trap_spaces(net, args.limit, args.timeout, graph=g)
     got_max = _solver.max_trap_spaces(net, args.limit, args.timeout, graph=g)
-    # one state more than the limit tells a truncated list from a full one
-    got_steady = _solver.steady_states(net, args.limit + 1, args.timeout, graph=g)
+    got_steady, steady_stop = _solver._steady_upto(net, args.limit, args.timeout, g)
     oracle_steady = [p for p in oracle_min if p.is_state]
     failures = []
     stop = "complete"
     for label, got, got_stop, expected in [
         ("min", got_min.spaces, got_min.stop, oracle_min),
         ("max", got_max.spaces, got_max.stop, oracle_max),
-        ("steady", got_steady[:args.limit], _cut(got_steady, args.limit), oracle_steady),
+        ("steady", got_steady, steady_stop, oracle_steady),
     ]:
         # both lists are sorted by pattern
         if got_stop == "complete":
@@ -346,7 +323,7 @@ def _cmd_check(args) -> _Result:
     return _Result("OK\n" if stop == "complete" else "", stop=stop)
 
 
-def _cmd_random(args) -> _Result:
+def _cmd_random(args, _net: None) -> _Result:
     _require(args.n >= 1, "--n", "at least 1", args.n)
     _require(args.degree_cap >= 1, "--degree-cap", "at least 1", args.degree_cap)
     _require_k(args.k)
@@ -359,7 +336,7 @@ def _cmd_random(args) -> _Result:
     return _Result(_bnet.write_network(_randgen.generate(cfg)))
 
 
-def _cmd_bench(args) -> _Result:
+def _cmd_bench(args, _net: None) -> _Result:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as exc:
@@ -392,8 +369,7 @@ def _cmd_bench(args) -> _Result:
     return _Result(_lines(rows), stop=stop)
 
 
-def _cmd_encode(args) -> _Result:
-    net = _load(args)
+def _cmd_encode(args, net: BooleanNetwork) -> _Result:
     emit = _encode.emit_asp if args.format == "asp" else _encode.emit_ilp
     return _Result(emit(build_graph(net), args.mode))
 
@@ -415,7 +391,8 @@ def run(argv) -> int:
         _require(args.timeout >= 0, "--timeout", "a non-negative number", args.timeout)
         for flag, cap in (("--support-cap", args.support_cap), ("--stg-cap", args.stg_cap)):
             _require(cap is None or cap >= 0, flag, "non-negative", cap)
-        return _render(_COMMANDS[args.command](args), args)
+        net = _bnet.load_network(args.file, args.support_cap) if "file" in args else None
+        return _render(_COMMANDS[args.command](args, net), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -343,16 +343,17 @@ def enumerate_extremal(
     search = _Search(g, fixed_first=mode != "min",
                      allow_free=mode != "steady", deadline=deadline)
     solutions: list[ArcSetSolution] = []
-    iterations = 0
 
     def result(stop: str) -> EnumerationResult:
-        return EnumerationResult(solutions, stop, iterations, search.nodes,
+        # every stop comes one iteration after the last solution: the final
+        # proof, the probe for one more leaf at the limit, or the search a
+        # deadline interrupted
+        return EnumerationResult(solutions, stop, len(solutions) + 1, search.nodes,
                                  time.monotonic() - start)
 
     stop = "complete"
     try:
         while True:
-            iterations += 1
             leaf = search.next_leaf()
             if leaf is None:
                 break
@@ -366,7 +367,6 @@ def enumerate_extremal(
             solutions.append(ArcSetSolution(ids, Subspace.from_items(g.n, literals(lits))))
             if len(solutions) >= limit:
                 # the list is truncated only if one more leaf exists
-                iterations += 1
                 if search.next_leaf() is not None:
                     stop = "limit"
                 break
@@ -419,3 +419,12 @@ def steady_states(
     min_trap_spaces)."""
     g = graph if graph is not None else build_graph(net)
     return enumerate_extremal(g, "steady", limit, timeout).spaces
+
+
+def _steady_upto(net: BooleanNetwork, limit: int, timeout: Optional[float],
+                 graph: PrimeImplicantGraph) -> tuple[list[Subspace], str]:
+    """The first ``limit`` steady states, and "limit" if there are more, else
+    "complete": one state more than the limit tells a truncated list from a
+    full one. Raises SolverTimeoutError as ``steady_states`` does."""
+    states = steady_states(net, limit + 1, timeout, graph)
+    return states[:limit], "limit" if len(states) > limit else "complete"

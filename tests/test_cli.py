@@ -706,7 +706,7 @@ class TestExitCodes:
         assert "usage error" in err and flag in err
 
     @pytest.mark.parametrize("k", ["nan", "inf"])
-    def test_non_finite_k_is_an_input_error(self, capsys, tmp_path, k):
+    def test_non_finite_k_is_a_usage_error(self, capsys, tmp_path, k):
         path = tmp_path / "net.bnet"
         code, _, err = run(capsys, "random", "--n", "4", "--k", k, "-o", str(path))
         assert code == 1 and "usage error" in err and "--k" in err

@@ -1,7 +1,7 @@
 import hashlib
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +337,47 @@ class TestAgainstBruteForce:
                 p for p in brute_force_trap_spaces(net, "all") if p.is_state
             ]
             assert steady_states(net, graph=g) == want_steady
+
+
+def _deadline_after(calls):
+    """A ``_Search._check_deadline`` that passes ``calls`` times, then raises."""
+    ticks = count(1)
+
+    def check(self):
+        if next(ticks) > calls:
+            raise SolverTimeoutError("doctored deadline")
+
+    return check
+
+
+def test_every_reported_space_is_extremal_also_when_cut_short(monkeypatch):
+    # every leaf the search reaches is extremal, so a list cut short by the
+    # limit or by a deadline holds only spaces of the complete answer: the
+    # oracle's up to 10 variables, the complete run's above
+    cases = [(net, range(1, 6), (1, 2, 3, 5, 8) if i < 70 else ())
+             for i, net in enumerate(corpus(200))]
+    cases += [(generate(GeneratorConfig(n=50, k=3.0, seed=s)), (1, 2), ()) for s in range(16)]
+    for net, limits, deadlines in cases:
+        g = build_graph(net)
+        if net.n <= 10:
+            minimal = brute_force_trap_spaces(net, "min")
+            answers = {"max": minimal, "min": brute_force_trap_spaces(net, "max"),
+                       "steady": [p for p in minimal if p.is_state]}
+        else:
+            answers = {mode: enumerate_extremal(g, mode).spaces
+                       for mode in ("max", "min", "steady")}
+        for mode, answer in answers.items():
+            complete = set(answer)
+            for limit in limits:
+                assert set(enumerate_extremal(g, mode, limit).spaces) <= complete, (mode, limit)
+            for calls in deadlines:
+                with monkeypatch.context() as patch:
+                    patch.setattr(_Search, "_check_deadline", _deadline_after(calls))
+                    try:
+                        spaces = enumerate_extremal(g, mode).spaces
+                    except SolverTimeoutError as exc:
+                        spaces = exc.partial.spaces
+                assert set(spaces) <= complete, (mode, calls)
 
 
 # SHA-256 of (arc ids and induced pattern per solution, iterations, nodes,
