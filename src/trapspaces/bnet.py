@@ -10,7 +10,6 @@ from . import expr as _expr
 from .errors import ExpressionSyntaxError, NetworkFormatError, UnknownVariableError
 from .space import BooleanNetwork
 
-_NAME_RE = re.compile(_expr._IDENTIFIER)
 HEADER = "targets, factors"
 
 
@@ -29,7 +28,7 @@ def parse_network(text: str, support_cap: int = _expr.DEFAULT_SUPPORT_CAP) -> Bo
             raise NetworkFormatError(f"expected '<name>, <expression>': {line!r}")
         name, text_expr = line.split(",", 1)
         name = name.strip()
-        if not _NAME_RE.fullmatch(name):
+        if not _expr._IDENTIFIER_RE.fullmatch(name):
             raise NetworkFormatError(f"bad variable name {name!r}")
         pairs.append((name, text_expr.strip()))
     names = tuple(name for name, _ in pairs)

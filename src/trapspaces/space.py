@@ -9,7 +9,7 @@ and are interchangeably handled as plain integers where speed matters.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import expr as _expr
 from ._value import Value
@@ -77,7 +77,20 @@ class Subspace(Value):
         return Subspace(n, mask, vals)
 
     def __str__(self) -> str:
-        return pattern(self.n, self.mask, self.vals)
+        """The text form: the one subspace renderer, for the CLI too."""
+        n, mask, vals = self.n, self.mask, self.vals
+        if mask == (1 << n) - 1:
+            # every variable fixed: a state, such as a steady state or the
+            # enclosing subspace of a one-state attractor
+            return format(vals, f"0{n}b")
+        out = []
+        for i in range(n):
+            bit = 1 << (n - 1 - i)
+            if mask & bit:
+                out.append("1" if vals & bit else "0")
+            else:
+                out.append("-")
+        return "".join(out)
 
     def is_fixed(self, i: int) -> bool:
         return bool(self.mask & (1 << (self.n - 1 - i)))
@@ -98,9 +111,6 @@ class Subspace(Value):
     @property
     def is_state(self) -> bool:
         return self.mask == (1 << self.n) - 1
-
-    def items(self) -> list[tuple[int, int]]:
-        return [(i, self.value(i)) for i in self.fixed_vars()]
 
 
 def subspace_leq(p: Subspace, q: Subspace) -> bool:
@@ -162,23 +172,6 @@ def select_trap_spaces(spaces: list[Subspace], mode: str) -> list[Subspace]:
     return [spaces[i] for i in sorted(kept)]
 
 
-def pattern(n: int, mask: int, vals: int) -> str:
-    """The text form of the subspace fixing ``mask`` at ``vals`` (whose free
-    bits are ignored): the one subspace renderer, for ``str`` and the CLI."""
-    if mask == (1 << n) - 1:
-        # every variable fixed: a state, such as a steady state or the
-        # enclosing subspace of a one-state attractor
-        return format(vals, f"0{n}b")
-    out = []
-    for i in range(n):
-        bit = 1 << (n - 1 - i)
-        if mask & bit:
-            out.append("1" if vals & bit else "0")
-        else:
-            out.append("-")
-    return "".join(out)
-
-
 def smallest_enclosing_subspace(states: Iterable[int], n: int) -> Subspace:
     """The smallest subspace containing the given states: fixes exactly the
     variables that are constant across them."""
@@ -200,9 +193,9 @@ class BooleanNetwork(Value):
     Each function's sorted syntactic support is computed once, when the
     network is built, and its truth table once, on first use (``tables``).
     ``support_cap`` bounds the syntactic supports for every layer: the
-    tables here (``image_int``, ``restricted_constant``, ``primes``)
-    and the state-space layer in ``dynamics``, whose tables span all
-    variables (``check_supports``).
+    tables here (``restricted_constant``, ``primes``) and the state-space
+    layer in ``dynamics``, whose tables span all variables
+    (``check_supports``).
     """
 
     # equality, hashing and repr read only the variables and functions
@@ -236,13 +229,6 @@ class BooleanNetwork(Value):
     def n(self) -> int:
         return len(self.variables)
 
-    @staticmethod
-    def from_strings(pairs: Sequence[tuple[str, str]]) -> "BooleanNetwork":
-        names = tuple(name for name, _ in pairs)
-        index_of = {name: i for i, name in enumerate(names)}
-        functions = tuple(_expr.parse_expression(text, index_of) for _, text in pairs)
-        return BooleanNetwork(names, functions)
-
     def check_supports(self) -> None:
         """Raise SupportTooLargeError at the first syntactic support above
         ``support_cap``."""
@@ -261,19 +247,6 @@ class BooleanNetwork(Value):
                 for support, f in zip(self.supports, self.functions)
             ])
         return self._tables
-
-    def image_int(self, x: int) -> int:
-        """The image F(x) of the state ``x`` as an integer: one table row per
-        function, read off its truth table."""
-        n = self.n
-        y = 0
-        for i, (support, table) in enumerate(self._tables or self.tables()):
-            row = 0
-            for v in support:
-                row = (row << 1) | ((x >> (n - 1 - v)) & 1)
-            if (table >> row) & 1:
-                y |= 1 << (n - 1 - i)
-        return y
 
     def restricted_constant(self, i: int, p: Subspace) -> Optional[int]:
         """Constant value of the i-th function restricted to ``p``, if any: its

@@ -3,9 +3,11 @@ against: an AST evaluator, the states of a subspace, the image of a state,
 constancy and essential support of a function, and the trap-set test on an
 explicit transition graph. The package decides these questions from one
 truth table per function (``BooleanNetwork.tables``) and the oracle's
-columns; nothing under ``src/`` calls the functions here. Two plain
-recursive AST walks, a formatter and the variables a function mentions,
-check the package's walkers, which read literal children inline.
+columns. ``image_int`` computes the image of a state itself, row by row
+off those tables, not through the package's ``image_subspace``. Nothing
+under ``src/`` calls the functions here. Two plain recursive AST walks, a
+formatter and the variables a function mentions, check the package's
+walkers, which read literal children inline.
 """
 
 from trapspaces.errors import TrapSpacesError
@@ -133,9 +135,23 @@ def referenced_states(p: Subspace) -> list[int]:
     return states
 
 
+def image_int(net, x: int) -> int:
+    """The image F(x) of the state ``x`` as an integer: one table row per
+    function, read off its truth table."""
+    n = net.n
+    y = 0
+    for i, (support, table) in enumerate(net.tables()):
+        row = 0
+        for v in support:
+            row = (row << 1) | ((x >> (n - 1 - v)) & 1)
+        if (table >> row) & 1:
+            y |= 1 << (n - 1 - i)
+    return y
+
+
 def image_state(net, x: Subspace) -> Subspace:
     """The image F(x) of a state."""
-    return Subspace.from_state(net.n, net.image_int(state_int(x)))
+    return Subspace.from_state(net.n, image_int(net, state_int(x)))
 
 
 def is_trap_set(stg, states: set[int]) -> bool:

@@ -15,6 +15,7 @@ from trapspaces.expr import Const, Not, Var, format_expression
 from trapspaces.space import BooleanNetwork, Subspace, subspace_leq
 
 from conftest import corpus, expressions
+from reference import image_int
 
 S = Subspace.from_str
 
@@ -85,8 +86,8 @@ class TestReduce:
         rn = red.network.n
         for y in range(1 << rn):
             x = red.embed_state(y)
-            fy = red.network.image_int(y)
-            assert red.embed_state(fy) == example_net.image_int(x)
+            fy = image_int(red.network, y)
+            assert red.embed_state(fy) == image_int(example_net, x)
 
 
 class TestCyclicLowerBound:

@@ -63,6 +63,27 @@ def test_public_names():
     assert names == PUBLIC_NAMES
 
 
+# the public members of the two core classes, inherited ones included, pinned
+# like the package names
+PUBLIC_MEMBERS = {
+    "Subspace": [
+        "fixed_vars", "free_vars", "from_items", "from_state", "from_str", "is_fixed",
+        "is_state", "mask", "n", "num_fixed", "vals", "value", "whole",
+    ],
+    "BooleanNetwork": [
+        "check_supports", "functions", "n", "restricted_constant", "support_cap",
+        "supports", "tables", "variables",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_MEMBERS))
+def test_public_members(name):
+    members = sorted(member for member in dir(getattr(trapspaces, name))
+                     if not member.startswith("_"))
+    assert members == PUBLIC_MEMBERS[name]
+
+
 # one-field, five-field and keyword-built records, each with its fields
 SHARED_CONSTRUCTOR = {
     "Var": (Var, {"index": 0}),

@@ -807,3 +807,20 @@ def test_solver_import_loads_no_oracle():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
     assert out == "[True, False]\n"
+
+
+@pytest.mark.parametrize("argv, want_code", [
+    (["check", MODEL_EXAMPLE], 0),
+    (["--limit", "0", "steady", MODEL_EXAMPLE], 1),
+])
+def test_module_entry_point_matches_run(capsys, argv, want_code):
+    # ``python -m trapspaces.cli`` goes through ``main``, which exits with
+    # the code ``run`` returns, as the installed ``trapspaces`` script does
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "trapspaces.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == want_code
+    assert done.stdout == ("OK\n" if want_code == 0 else "")
+    assert ("usage error" in done.stderr) == (want_code == 1)
+    assert run(capsys, *argv)[:2] == (want_code, done.stdout)

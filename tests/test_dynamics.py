@@ -15,7 +15,7 @@ from trapspaces.errors import CapExceededError, TrapSpacesError
 from trapspaces.space import Subspace, subspace_leq
 
 from conftest import corpus
-from reference import contains_state, is_trap_set, referenced_states
+from reference import contains_state, image_int, is_trap_set, referenced_states
 
 
 def reference_trap_spaces(net):
@@ -23,7 +23,7 @@ def reference_trap_spaces(net):
     subspaces p, kept iff F(x) agrees with p's fixed part at each state x
     of p, with F(x) from ``image_int``."""
     n = net.n
-    image = [net.image_int(x) for x in range(1 << n)]
+    image = [image_int(net, x) for x in range(1 << n)]
     full = (1 << n) - 1
     spaces = []
     for choices in product(((0, 0), (full, 0), (full, full)), repeat=n):
@@ -52,7 +52,7 @@ def reference_successors(net, rule):
     """``build_stg``'s successor lists, state by state from ``image_int``."""
     successors = []
     for x in range(1 << net.n):
-        fx = net.image_int(x)
+        fx = image_int(net, x)
         if rule == "sync" or fx == x:
             successors.append((fx,))
         else:
@@ -66,7 +66,7 @@ class TestBuildStg:
         stg = build_stg(example_net, "sync")
         assert stg.rule == "sync" and stg.n == 4
         for x in range(16):
-            assert stg.successors[x] == (example_net.image_int(x),)
+            assert stg.successors[x] == (image_int(example_net, x),)
 
     def test_async_single_flips_toward_image(self, example_net):
         stg = build_stg(example_net, "async")

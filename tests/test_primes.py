@@ -276,7 +276,7 @@ def random_graph(n, m, seed, sort_heads=True):
     """A graph of m random arcs over n variables, with tails of one to three
     literals; heads in arc order (runs of equal heads) or shuffled."""
     rng = random.Random(seed)
-    net = BooleanNetwork.from_strings([(f"v{i}", f"v{i}") for i in range(n)])
+    net = parse_network("targets, factors\n" + "".join(f"v{i}, v{i}\n" for i in range(n)))
     head_lit = [rng.randrange(2 * n) for _ in range(m)]
     if sort_heads:
         head_lit.sort()
@@ -289,7 +289,7 @@ def random_graph(n, m, seed, sort_heads=True):
 
 class TestArcMasks:
     # the tail checks of the graph constructor
-    NET = BooleanNetwork.from_strings([("a", "a"), ("b", "b")])
+    NET = parse_network("targets, factors\na, a\nb, b\n")
 
     def test_empty_tail_rejected(self):
         with pytest.raises(ValueError):
@@ -333,7 +333,7 @@ class TestArcMasks:
                 tails = _implicant_litmasks(tuple(range(12)), table, i, c, memo)
                 head_lit += [2 * i + c] * len(tails)
                 tail_litmask += tails
-        net = BooleanNetwork.from_strings([(f"v{i}", f"v{i}") for i in range(12)])
+        net = parse_network("targets, factors\n" + "".join(f"v{i}, v{i}\n" for i in range(12)))
         g = PrimeImplicantGraph(net, head_lit, tail_litmask)
         assert g.m > 60_000
         assert_masks_match(g)
@@ -366,7 +366,7 @@ class TestGraphOnRunningExample:
 
 class TestGraphGeneral:
     def test_identity_network_self_arcs(self):
-        net = BooleanNetwork.from_strings([("a", "a")])
+        net = parse_network("targets, factors\na, a\n")
         g = build_graph(net)
         assert [(tail, head) for _, tail, head in g.arcs] == [
             (((0, 1),), (0, 1)),

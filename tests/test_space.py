@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from trapspaces import parse_network
 from trapspaces.analysis import CyclicLowerBound
 from trapspaces.errors import TrapSpacesError
 from trapspaces.expr import Not, Var
@@ -13,13 +14,19 @@ from trapspaces.space import (
     Subspace,
     image_subspace,
     is_trap_space,
-    pattern,
     smallest_enclosing_subspace,
     subspace_leq,
 )
 
 from conftest import assert_value_semantics, corpus
-from reference import contains_state, evaluate, image_state, referenced_states, state_int
+from reference import (
+    contains_state,
+    evaluate,
+    image_int,
+    image_state,
+    referenced_states,
+    state_int,
+)
 
 S = Subspace.from_str
 
@@ -42,11 +49,6 @@ class TestSubspaceBasics:
         for n in range(1, 6):
             for p in all_subspaces(n):
                 assert Subspace.from_str(str(p)) == p
-
-    def test_pattern_ignores_value_bits_of_free_variables(self):
-        assert pattern(4, 0b1010, 0b1111) == "1-1-"
-        assert pattern(4, 0b0000, 0b0110) == "----"
-        assert pattern(4, 0b1111, 0b0110) == "0110"
 
     def test_canonical_form_rejects_value_on_free_bit(self):
         with pytest.raises(ValueError):
@@ -72,7 +74,7 @@ class TestSubspaceBasics:
         assert p.fixed_vars() == [0, 2, 3]
         assert p.free_vars() == [1]
         assert p.num_fixed == 3
-        assert p.items() == [(0, 1), (2, 0), (3, 1)]
+        assert [(i, p.value(i)) for i in p.fixed_vars()] == [(0, 1), (2, 0), (3, 1)]
 
     def test_state_properties(self):
         x = S("1101")
@@ -219,7 +221,7 @@ class TestNetworkImages:
         for choices in product("01-", repeat=4):
             p = S("".join(choices))
             stays = all(
-                contains_state(p, example_net.image_int(x))
+                contains_state(p, image_int(example_net, x))
                 for x in referenced_states(p)
             )
             assert is_trap_space(example_net, p) == stays
@@ -260,15 +262,15 @@ class TestNetworkImages:
             for x in range(1 << n):
                 state = Subspace.from_state(n, x)
                 bits = [evaluate(f, state) for f in net.functions]
-                assert net.image_int(x) == Subspace.from_items(n, enumerate(bits)).vals
+                assert image_int(net, x) == Subspace.from_items(n, enumerate(bits)).vals
 
     def test_restricted_constant_of_a_sixteen_input_function(self):
         # v0 = v0 | g(v1..v15): constant 1 wherever v0 is fixed at 1, and
         # varying where v0 is fixed at 0 and g is not yet decided
         names = [f"v{i}" for i in range(16)]
         g = " | ".join(f"(v{i} & !v{i + 1} & v{i + 2})" for i in range(1, 14))
-        net = BooleanNetwork.from_strings(
-            [("v0", "v0 | " + g)] + [(name, name) for name in names[1:]])
+        net = parse_network(f"targets, factors\nv0, v0 | {g}\n"
+                            + "".join(f"{name}, {name}\n" for name in names[1:]))
         assert net.supports[0] == tuple(range(16))
         assert net.restricted_constant(0, S("1" + "-" * 15)) == 1
         assert net.restricted_constant(0, S("1" + "01" * 7 + "0")) == 1
@@ -285,7 +287,7 @@ class TestNetworkImages:
 class TestNetworkValidation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            BooleanNetwork.from_strings([("a", "a"), ("a", "a")])
+            BooleanNetwork(("a", "a"), (Var(0), Var(0)))
 
     @pytest.mark.parametrize("variables, functions, message", [
         ((), (), "at least one variable"),
