@@ -36,9 +36,10 @@ def parse_network(text: str, support_cap: int = _expr.DEFAULT_SUPPORT_CAP) -> Bo
     if len(index_of) != len(names):
         raise NetworkFormatError("duplicate variable names")
     functions = []
+    nodes = {"0": _expr.FALSE, "1": _expr.TRUE}  # one literal table per file
     try:
         for _, text_expr in pairs:
-            functions.append(_expr.parse_expression(text_expr, index_of))
+            functions.append(_expr._parse(text_expr, index_of, nodes))
     except (ExpressionSyntaxError, UnknownVariableError) as exc:
         # the same error, naming where it is: the line and the variable
         at = len(functions)

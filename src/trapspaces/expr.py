@@ -10,14 +10,16 @@ without parentheses, the form ``randgen`` writes, is split on ``|`` and
 ``&`` directly; all other text, and every text with an error, goes to a
 plain operator-precedence parser, the only one that reports errors. It
 reports the first character outside the syntax before any other fault.
-All nodes are immutable, so one node may be shared by many trees. Every
-producer of ASTs builds each literal once per expression: in what the parser, the
-random generator (``randgen``) and ``restrict`` return, every
-occurrence of ``v`` is one ``Var`` node and every ``!v`` one ``Not`` node,
-and the constants are the two shared nodes ``FALSE`` and ``TRUE``. The
-walkers (``format_expression``, ``syntactic_support`` and the truth-table
-pass) read the ``Var`` and ``Not(Var)`` children of an ``And`` or ``Or``
-inline, so no literal costs them a call or a stack entry.
+All nodes are immutable, so one node may be shared by many trees. The
+parser builds each literal once per file (``bnet.parse_network``; once per
+function on the general route) or once per call (``parse_expression``),
+the random generator (``randgen``) once per function and ``restrict`` once
+per call: within that scope every ``v`` is one ``Var`` node and every
+``!v`` one ``Not`` node, and the constants are the two shared nodes
+``FALSE`` and ``TRUE``. The walkers (``format_expression``,
+``syntactic_support`` and the truth-table pass) read the ``Var`` and
+``Not(Var)`` children of an ``And`` or ``Or`` inline, so no literal costs
+them a call or a stack entry.
 """
 
 from __future__ import annotations
@@ -123,22 +125,29 @@ def parse_expression(text: str, vocabulary: Sequence[str] | Mapping[str, int]) -
     general parser (``_parse_general``), so that parser alone reports
     errors and their positions. The literals are shared nodes: every
     occurrence of a variable ``v`` in the text is one ``Var`` node, and
-    every ``!v`` one ``Not`` node over it.
+    every ``!v`` one ``Not`` node over it, built by this call
+    (``bnet.parse_network`` shares them across a file instead).
     """
     index_of = (vocabulary if isinstance(vocabulary, Mapping)
                 else {name: i for i, name in enumerate(vocabulary)})
+    return _parse(text, index_of, {"0": FALSE, "1": TRUE})
+
+
+def _parse(text: str, index_of: Mapping[str, int], nodes: dict) -> Expression:
+    """``parse_expression``'s routing; the split route reads and fills ``nodes``."""
     if "(" not in text:
-        f = _sum_of_products(text, index_of)
+        f = _sum_of_products(text, index_of, nodes)
         if f is not None:
             return f
     return _parse_general(text, index_of)
 
 
-def _sum_of_products(text: str, index_of: Mapping[str, int]) -> Optional[Expression]:
+def _sum_of_products(text: str, index_of: Mapping[str, int], nodes: dict) -> Optional[Expression]:
     """The AST of a parenthesis-free sum of products of literals, built
-    with ``str.split`` and ``str.strip``; None for any other text. Each
-    distinct literal is looked up and built once."""
-    nodes = {"0": FALSE, "1": TRUE}
+    with ``str.split`` and ``str.strip``; None for any other text. The
+    literal table ``nodes`` maps each literal text seen (``0``, ``1``,
+    ``v``, ``!v``) to its node, so a literal is checked against the syntax
+    and the vocabulary and built on its first look-up only."""
     terms = []
     for term in text.split("|"):
         factors = []

@@ -1,6 +1,6 @@
 import pytest
 
-from trapspaces import GeneratorConfig, generate
+from trapspaces import GeneratorConfig, expr, generate
 from trapspaces.bnet import load_network, parse_network, write_network
 from trapspaces.errors import (
     ExpressionSyntaxError,
@@ -8,7 +8,7 @@ from trapspaces.errors import (
     UnknownVariableError,
 )
 
-from conftest import EXAMPLE_TEXT, corpus
+from conftest import EXAMPLE_TEXT, corpus, dense, literal_nodes
 
 
 class TestParseNetwork:
@@ -76,6 +76,54 @@ class TestParseNetwork:
             parse_network("targets, factors\na, a\nb, ghost | a\n")
         assert info.value.name == "ghost"
         assert str(info.value) == "line 3, variable 'b': unknown variable: 'ghost'"
+
+
+def _literal_objects(net):
+    """Variable index -> the distinct ``Var`` and ``Not(Var)`` node objects
+    (by identity) across all functions of ``net``."""
+    merged = {}
+    for f in net.functions:
+        for index, objects in literal_nodes(f).items():
+            merged.setdefault(index, {}).update(objects)
+    return merged
+
+
+class TestLiteralTable:
+    def test_one_literal_node_per_variable_per_file(self):
+        # the split route builds each literal once per file, not once per
+        # function: at most one Var and one Not object per variable
+        for net in [*corpus(200), *dense()]:
+            parsed = parse_network(write_network(net))
+            assert parsed == net
+            for objects in _literal_objects(parsed).values():
+                kinds = [type(node) for node in objects.values()]
+                assert kinds.count(expr.Var) <= 1 and kinds.count(expr.Not) <= 1
+
+    def test_no_node_outlives_a_call(self):
+        text = write_network(dense()[0])
+        first, second = parse_network(text), parse_network(text)
+        assert first == second
+        ids = [set().union(*_literal_objects(net).values()) for net in (first, second)]
+        assert ids[0] and not ids[0] & ids[1]
+
+    @pytest.mark.parametrize("later", [
+        "ghost", "v1 & ghost", "!v1 & !ghost | v2", "! ghost", "!!ghost", "!v1 & (v2",
+        "v1 &", "v1 + v2", "! v1", "!!v1", "!v2 & v1 | !v1", "(v1 | !v2) & !v1", "0 | !v1"])
+    def test_a_later_function_parses_as_on_its_own(self, later):
+        # the first function fills the file's table with v1, v2 and !v2; a
+        # later one still gets the tree, or the error, it gets on its own
+        text = f"targets, factors\nv1, v1 & !v2\n\nv2, {later}\nv3, !v2 & v1\n"
+        vocab = ("v1", "v2", "v3")
+        try:
+            alone = expr.parse_expression(later, vocab)
+        except (ExpressionSyntaxError, UnknownVariableError) as exc:
+            with pytest.raises(type(exc)) as info:
+                parse_network(text)
+            assert str(info.value) == f"line 4, variable 'v2': {exc}"
+            assert getattr(info.value, "position", None) == getattr(exc, "position", None)
+            return
+        functions = parse_network(text).functions
+        assert functions[1:] == (alone, expr.parse_expression("!v2 & v1", vocab))
 
 
 class TestWriteNetwork:
