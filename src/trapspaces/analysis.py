@@ -31,15 +31,6 @@ class ReducedNetwork(Value):
     # parent variable index -> reduced index, for the free variables
     index_map: dict[int, int]
 
-    def embed_state(self, reduced_state: int) -> int:
-        """Map a reduced state back to the parent state it represents."""
-        x = self.fixing.vals
-        rn = self.network.n
-        for parent_i, reduced_i in self.index_map.items():
-            if (reduced_state >> (rn - 1 - reduced_i)) & 1:
-                x |= 1 << (self.parent.n - 1 - parent_i)
-        return x
-
 
 def reduce(net: BooleanNetwork, p: Subspace, unchecked: bool = False) -> ReducedNetwork:
     """Divide out the fixed variables of ``p``: keep the free variables and

@@ -11,15 +11,15 @@ without parentheses, the form ``randgen`` writes, is split on ``|`` and
 plain operator-precedence parser, the only one that reports errors. It
 reports the first character outside the syntax before any other fault.
 All nodes are immutable, so one node may be shared by many trees. The
-parser builds each literal once per file (``bnet.parse_network``; once per
-function on the general route) or once per call (``parse_expression``),
-the random generator (``randgen``) once per function and ``restrict`` once
-per call: within that scope every ``v`` is one ``Var`` node and every
-``!v`` one ``Not`` node, and the constants are the two shared nodes
-``FALSE`` and ``TRUE``. The walkers (``format_expression``,
-``syntactic_support`` and the truth-table pass) read the ``Var`` and
-``Not(Var)`` children of an ``And`` or ``Or`` inline, so no literal costs
-them a call or a stack entry.
+parser builds each literal once per file (``bnet.parse_network``) or once
+per call (``parse_expression``), on either route, the random generator
+(``randgen``) once per function and ``restrict`` once per call: within
+that scope every ``v`` is one ``Var`` node and every ``!v`` one ``Not``
+node, and the constants are the two shared nodes ``FALSE`` and ``TRUE``.
+All three build their ``And`` and ``Or`` nodes with ``_join``. The walkers
+(``format_expression``, ``syntactic_support`` and the truth-table pass)
+read the ``Var`` and ``Not(Var)`` children of an ``And`` or ``Or``
+inline, so no literal costs them a call or a stack entry.
 """
 
 from __future__ import annotations
@@ -123,10 +123,9 @@ def parse_expression(text: str, vocabulary: Sequence[str] | Mapping[str, int]) -
     around it), is split directly (``_sum_of_products``). Every other text,
     and every text that misses the first route anywhere, goes to the
     general parser (``_parse_general``), so that parser alone reports
-    errors and their positions. The literals are shared nodes: every
-    occurrence of a variable ``v`` in the text is one ``Var`` node, and
-    every ``!v`` one ``Not`` node over it, built by this call
-    (``bnet.parse_network`` shares them across a file instead).
+    errors and their positions. Both routes share the literals this call
+    builds: every ``v`` in the text is one ``Var`` node and every ``!v``
+    one ``Not`` node over it (``bnet.parse_network`` shares them per file).
     """
     index_of = (vocabulary if isinstance(vocabulary, Mapping)
                 else {name: i for i, name in enumerate(vocabulary)})
@@ -134,12 +133,12 @@ def parse_expression(text: str, vocabulary: Sequence[str] | Mapping[str, int]) -
 
 
 def _parse(text: str, index_of: Mapping[str, int], nodes: dict) -> Expression:
-    """``parse_expression``'s routing; the split route reads and fills ``nodes``."""
+    """``parse_expression``'s routing; both routes share the literal table ``nodes``."""
     if "(" not in text:
         f = _sum_of_products(text, index_of, nodes)
         if f is not None:
             return f
-    return _parse_general(text, index_of)
+    return _parse_general(text, index_of, nodes)
 
 
 def _sum_of_products(text: str, index_of: Mapping[str, int], nodes: dict) -> Optional[Expression]:
@@ -171,19 +170,18 @@ def _sum_of_products(text: str, index_of: Mapping[str, int], nodes: dict) -> Opt
     return _join(Or, terms)
 
 
-def _parse_general(text: str, index_of: Mapping[str, int]) -> Expression:
+def _parse_general(text: str, index_of: Mapping[str, int], nodes: dict) -> Expression:
     """Parse any text, or raise the error at its first fault.
 
     One ``findall`` splits the text into identifiers and single
     characters, and one loop reads them by operator precedence with an
     explicit stack: an open parenthesis pushes the enclosing (or_terms,
     and_factors, pending_nots) frame and its closing one pops it. Token
-    positions are computed only for an error.
+    positions are computed only for an error. Operands read and fill the
+    literal table ``nodes`` of ``_sum_of_products``.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end
-    # operand token -> its node; "!" + operand token -> the shared negation
-    nodes = {"0": FALSE, "1": TRUE}
     stack: list[tuple[list, list, int]] = []
     terms, factors = [], []
     nots = depth = 0
@@ -319,7 +317,7 @@ def restrict(f: Expression, p, index_map: Mapping[int, int]) -> Expression:
                 kept.append(sub)
             if not kept:
                 return _CONSTANTS[1 - absorbing]
-            return kept[0] if len(kept) == 1 else kind(tuple(kept))
+            return _join(kind, kept)
         if kind is Const:
             return g
         raise TypeError(f"not an expression node: {g!r}")

@@ -81,11 +81,8 @@ def _table_to_expression(regulators: list[int], table: int) -> _expr.Expression:
         return _expr.TRUE
     literals = [(_expr.Not(var), var) for var in map(_expr.Var, regulators)]
     # product() yields the rows in ascending order, first regulator varying slowest
-    terms = list(compress(product(*literals), ((table >> row) & 1 for row in range(rows))))
-    if len(regulators) == 1:
-        return terms[0][0]
-    terms = [_expr.And(term) for term in terms]
-    return terms[0] if len(terms) == 1 else _expr.Or(tuple(terms))
+    terms = compress(product(*literals), ((table >> row) & 1 for row in range(rows)))
+    return _expr._join(_expr.Or, [_expr._join(_expr.And, term) for term in terms])
 
 
 def generate(cfg: GeneratorConfig) -> BooleanNetwork:

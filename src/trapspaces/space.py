@@ -106,7 +106,7 @@ class Subspace(Value):
 
     @property
     def num_fixed(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     @property
     def is_state(self) -> bool:

@@ -4,7 +4,8 @@ constancy and essential support of a function, and the trap-set test on an
 explicit transition graph. The package decides these questions from one
 truth table per function (``BooleanNetwork.tables``) and the oracle's
 columns. ``image_int`` computes the image of a state itself, row by row
-off those tables, not through the package's ``image_subspace``. Nothing
+off those tables, not through the package's ``image_subspace``.
+``embed_state`` maps a state of a reduced network back to its parent. Nothing
 under ``src/`` calls the functions here. Two plain recursive AST walks, a
 formatter and the variables a function mentions, check the package's
 walkers, which read literal children inline.
@@ -152,6 +153,17 @@ def image_int(net, x: int) -> int:
 def image_state(net, x: Subspace) -> Subspace:
     """The image F(x) of a state."""
     return Subspace.from_state(net.n, image_int(net, state_int(x)))
+
+
+def embed_state(red, y: int) -> int:
+    """The parent state that the state ``y`` of the reduced network
+    ``red`` (an ``analysis.ReducedNetwork``) stands for."""
+    x = red.fixing.vals
+    rn = red.network.n
+    for parent_i, reduced_i in red.index_map.items():
+        if (y >> (rn - 1 - reduced_i)) & 1:
+            x |= 1 << (red.parent.n - 1 - parent_i)
+    return x
 
 
 def is_trap_set(stg, states: set[int]) -> bool:

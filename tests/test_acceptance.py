@@ -21,7 +21,7 @@ from trapspaces.solver import max_trap_spaces, min_trap_spaces, steady_states
 from trapspaces.space import Subspace, image_subspace
 
 from conftest import EXAMPLE_TEXT, corpus, fixture_path
-from reference import contains_state, image_state, referenced_states
+from reference import contains_state, embed_state, image_state, referenced_states
 
 S = Subspace.from_str
 
@@ -151,8 +151,8 @@ def test_criterion_5_reduction_preserves_async_dynamics():
             red = reduce(net, p)
             red_stg = build_stg(red.network, "async")
             iso = all(
-                sorted(red.embed_state(y2) for y2 in red_stg.successors[y])
-                == list(parent_stg.successors[red.embed_state(y)])
+                sorted(embed_state(red, y2) for y2 in red_stg.successors[y])
+                == list(parent_stg.successors[embed_state(red, y)])
                 for y in range(1 << red.network.n)
             )
             spaces_checked += 1

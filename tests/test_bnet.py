@@ -88,14 +88,21 @@ def _literal_objects(net):
     return merged
 
 
+# general-route functions between split-route ones; "!!v1" keeps its inner
+# "!v1" shared and its outer negation unshared
+MIXED_ROUTES = ("targets, factors\nv1, v1 & !v2\nv2, (v1 | !v2) & !v1\nv3, !v2 | v3\n"
+                "v4, ! v1\nv5, !v1 & v4 | !v3\nv6, (v3 & !v4) | !!v1\nv7, !v4 | !v1\n")
+
+
 class TestLiteralTable:
     def test_one_literal_node_per_variable_per_file(self):
-        # the split route builds each literal once per file, not once per
+        # both routes build each literal once per file, not once per
         # function: at most one Var and one Not object per variable
-        for net in [*corpus(200), *dense()]:
-            parsed = parse_network(write_network(net))
-            assert parsed == net
-            for objects in _literal_objects(parsed).values():
+        nets = [*corpus(200), *dense()]
+        parsed = [parse_network(write_network(net)) for net in nets]
+        assert parsed == nets
+        for net in [*parsed, parse_network(MIXED_ROUTES)]:
+            for objects in _literal_objects(net).values():
                 kinds = [type(node) for node in objects.values()]
                 assert kinds.count(expr.Var) <= 1 and kinds.count(expr.Not) <= 1
 
