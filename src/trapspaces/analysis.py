@@ -114,25 +114,23 @@ def commitment_table(
     steady, steady_stop = _solver._steady_upto(net, limit, timeout, g)
     complete = report.complete and steady_stop == "complete"
     steady_counts = [len(inside) for inside in _inside(steady, spaces)]
+    try:
+        sync = _dynamics.build_stg(net, "sync", stg_cap)
+    except CapExceededError:
+        return CommitmentTable(spaces, steady_counts, None, None, complete)
     cyclic_counts = []
-    for rule in ("sync", "async"):
-        try:
-            attrs, enclosing = _attractors(net, rule, stg_cap)
-        except CapExceededError:
-            cyclic_counts.append(None)
-            continue
+    # both rules read the one image array of the synchronous graph
+    for stg in (sync, _dynamics.StateTransitionGraph("async", net.n, sync.images)):
+        attrs, enclosing = _attractors(stg)
         cyclic = [q for a, q in zip(attrs, enclosing) if len(a) > 1]
         cyclic_counts.append([len(inside) for inside in _inside(cyclic, spaces)])
     return CommitmentTable(spaces, steady_counts, *cyclic_counts, complete)
 
 
-def _attractors(
-    net: BooleanNetwork, rule: str, stg_cap: Optional[int]
-) -> tuple[list[list[int]], list[Subspace]]:
-    """The attractors of the ``rule`` transition graph, and the smallest
-    subspace enclosing each."""
-    attrs = _dynamics.attractors(_dynamics.build_stg(net, rule, stg_cap))
-    return attrs, [smallest_enclosing_subspace(a, net.n) for a in attrs]
+def _attractors(stg: _dynamics.StateTransitionGraph) -> tuple[list[list[int]], list[Subspace]]:
+    """The attractors of ``stg``, and the smallest subspace enclosing each."""
+    attrs = _dynamics.attractors(stg)
+    return attrs, [smallest_enclosing_subspace(a, stg.n) for a in attrs]
 
 
 def _inside(items: list[Subspace], spaces: list[Subspace]) -> list[list[int]]:
@@ -168,7 +166,7 @@ def attractor_trapspace_audit(
     enclosing subspace is exactly the space; plus attractors outside all
     minimal trap spaces."""
     report = _solver.min_trap_spaces(net, limit, timeout)
-    attrs, enclosing = _attractors(net, rule, stg_cap)
+    attrs, enclosing = _attractors(_dynamics.build_stg(net, rule, stg_cap))
     inside = _inside(enclosing, report.spaces)
     per_space = [SpaceAudit(p, len(ins), [enclosing[i] == p for i in ins])
                  for p, ins in zip(report.spaces, inside)]

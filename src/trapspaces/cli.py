@@ -237,7 +237,8 @@ def _cmd_steady(args, net: BooleanNetwork) -> _Result:
 def _cmd_attractors(args, net: BooleanNetwork) -> _Result:
     state_format = f"0{net.n}b"
     rows, doc = [], []
-    for a, enclosing in zip(*_analysis._attractors(net, args.update, args.stg_cap)):
+    stg = _dynamics.build_stg(net, args.update, args.stg_cap)
+    for a, enclosing in zip(*_analysis._attractors(stg)):
         states = [format(x, state_format) for x in a[:64]]
         doc.append({"size": len(a), "enclosing": str(enclosing), "states": states})
         more = f" ... ({len(a) - 64} more)" if len(a) > 64 else ""

@@ -8,11 +8,11 @@ row r of such a table is state r, so bit x of the column of F_i is F_i(x).
 The oracle decides the 3^n subspaces with ANDs of those columns: a
 depth-first walk over the leading variables, and at each of its leaves a
 bit-parallel kernel that decides every completion over the last (at most
-ten) variables at once, one bit per subspace. The graphs read F(x) off
-the columns a block of states at a time. The columns come
-from the ASTs alone, each tabulated against the n variable columns built
-once per network, never from the prime implicants or the solver the
-oracle checks; they take n * 2^n bits.
+ten) variables at once, one bit per subspace. A graph is its images,
+F(x) read off the columns a block of states at a time into one array
+item per state. The columns come from the ASTs alone, each tabulated
+against the n variable columns built once per network, never from the
+prime implicants or the solver the oracle checks; they take n * 2^n bits.
 
 Caps are configuration, not constants; exceeding one raises cleanly so the
 solver path stays usable at any network size. Each is resolved where it is
@@ -23,6 +23,7 @@ applies to each function's syntactic support, not to n.
 
 from __future__ import annotations
 
+from array import array
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
@@ -43,31 +44,43 @@ _KERNEL_VARS = 10
 
 
 class StateTransitionGraph(Value):
-    __slots__ = _fields = ("rule", "n", "successors")
+    """A transition graph as the image F(x) of each of the 2^n states x."""
+
+    __slots__ = _fields = ("rule", "n", "images")
+    __hash__ = None
     rule: str  # "sync" | "async"
     n: int
-    successors: tuple[tuple[int, ...], ...]
+    images: array  # array("Q"): item x is F(x)
+
+    def successors(self, x: int) -> tuple[int, ...]:
+        """The successors of state x, ascending. Synchronous: F(x).
+        Asynchronous: x itself when x is steady, else each single-variable
+        flip of x toward F(x)."""
+        fx = self.images[x]
+        if self.rule == "sync":
+            return (fx,)
+        diff = fx ^ x
+        if not diff:
+            return (x,)
+        succ = []
+        while diff:
+            low = diff & -diff
+            succ.append(x ^ low)
+            diff ^= low
+        succ.sort()
+        return tuple(succ)
 
 
 def build_stg(net: BooleanNetwork, rule: str, cap: Optional[int] = None) -> StateTransitionGraph:
     """Explicit transition graph under the synchronous or asynchronous rule;
-    ``cap`` defaults to ``DEFAULT_STG_CAP``.
-
-    Asynchronous: x -> y iff x is steady and y = x, or y differs from x in a
-    single variable whose flip moves x toward F(x).
-    """
+    ``cap`` defaults to ``DEFAULT_STG_CAP``."""
     if rule not in ("sync", "async"):
         raise TrapSpacesError(f"unknown update rule {rule!r}")
     if cap is None:
         cap = DEFAULT_STG_CAP
     if net.n > cap:
         raise CapExceededError(net.n, cap, what=f"{rule} transition graph")
-    images = _images(_columns(net)[1], net.n)
-    if rule == "sync":
-        successors = tuple((fx,) for fx in images)
-    else:
-        successors = tuple(_flips(x, fx ^ x) for x, fx in enumerate(images))
-    return StateTransitionGraph(rule, net.n, successors)
+    return StateTransitionGraph(rule, net.n, array("Q", _images(_columns(net)[1], net.n)))
 
 
 def _columns(net: BooleanNetwork) -> tuple[list[int], list[int]]:
@@ -98,32 +111,19 @@ def _images(columns: list[int], n: int) -> Iterator[int]:
         yield from map(int, map("".join, zip(*bits)), repeat(2))
 
 
-def _flips(x: int, diff: int) -> tuple[int, ...]:
-    """The asynchronous successors of x, whose image differs from it in the
-    bits of ``diff``: one single-variable flip per such bit, ascending, or
-    x itself when x is steady."""
-    if not diff:
-        return (x,)
-    succ = []
-    while diff:
-        low = diff & -diff
-        succ.append(x ^ low)
-        diff ^= low
-    succ.sort()
-    return tuple(succ)
-
-
-def _terminal_sccs(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Iterative Tarjan over the explicit graph; returns the SCCs that no
-    edge leaves.
+def _terminal_sccs(stg: StateTransitionGraph) -> list[list[int]]:
+    """Iterative Tarjan over the graph; returns the SCCs that no edge
+    leaves. Each state's successors are derived once, when it is entered,
+    and kept in its work entry.
 
     ``leaks[x]`` records that an edge from x's SCC leaves it: an edge to a
     visited state off the stack, whose SCC is complete, or to a DFS child
     that was the root of its own SCC. A non-root state passes it to its DFS
     parent, which lies in the same SCC."""
-    size = len(successors)
-    index = [-1] * size
-    lowlink = [0] * size
+    successors = stg.successors
+    size = 1 << stg.n
+    index = array("l", [-1]) * size
+    lowlink = array("l", [0]) * size
     on_stack = bytearray(size)
     leaks = bytearray(size)
     stack: list[int] = []
@@ -132,22 +132,22 @@ def _terminal_sccs(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     for root in range(size):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, (), 0)]
         while work:
-            node, child_i = work[-1]
+            node, succ, child_i = work[-1]
             if child_i == 0:
                 index[node] = lowlink[node] = counter
                 counter += 1
                 stack.append(node)
                 on_stack[node] = 1
+                succ = successors(node)
             advanced = False
-            succ = successors[node]
             while child_i < len(succ):
                 target = succ[child_i]
                 child_i += 1
                 if index[target] == -1:
-                    work[-1] = (node, child_i)
-                    work.append((target, 0))
+                    work[-1] = (node, succ, child_i)
+                    work.append((target, (), 0))
                     advanced = True
                     break
                 if not on_stack[target]:
@@ -157,7 +157,8 @@ def _terminal_sccs(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
             if advanced:
                 continue
             work.pop()
-            is_root = lowlink[node] == index[node]
+            low = lowlink[node]
+            is_root = low == index[node]
             if is_root:
                 comp = []
                 while True:
@@ -170,8 +171,8 @@ def _terminal_sccs(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
                     sccs.append(comp)
             if work:
                 parent = work[-1][0]
-                if lowlink[node] < lowlink[parent]:
-                    lowlink[parent] = lowlink[node]
+                if low < lowlink[parent]:
+                    lowlink[parent] = low
                 if is_root or leaks[node]:
                     leaks[parent] = 1
     return sccs
@@ -180,7 +181,7 @@ def _terminal_sccs(successors: tuple[tuple[int, ...], ...]) -> list[list[int]]:
 def attractors(stg: StateTransitionGraph) -> list[list[int]]:
     """Terminal strongly connected components, each sorted; the list is
     sorted by smallest member."""
-    out = [sorted(comp) for comp in _terminal_sccs(stg.successors)]
+    out = [sorted(comp) for comp in _terminal_sccs(stg)]
     out.sort(key=lambda c: c[0])
     return out
 

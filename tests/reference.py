@@ -170,4 +170,4 @@ def is_trap_set(stg, states: set[int]) -> bool:
     """True iff no transition leaves the given non-empty state set."""
     if not states:
         raise TrapSpacesError("the empty set is not a trap set")
-    return all(y in states for x in states for y in stg.successors[x])
+    return all(y in states for x in states for y in stg.successors(x))

@@ -114,7 +114,7 @@ def test_criterion_3_trap_sets_independent_of_update_rule():
                 if all(
                     contains_state(p, y)
                     for x in referenced_states(p)
-                    for y in stg.successors[x]
+                    for y in stg.successors(x)
                 )
             }
             if trapped != characterized:
@@ -151,8 +151,8 @@ def test_criterion_5_reduction_preserves_async_dynamics():
             red = reduce(net, p)
             red_stg = build_stg(red.network, "async")
             iso = all(
-                sorted(embed_state(red, y2) for y2 in red_stg.successors[y])
-                == list(parent_stg.successors[embed_state(red, y)])
+                sorted(embed_state(red, y2) for y2 in red_stg.successors(y))
+                == list(parent_stg.successors(embed_state(red, y)))
                 for y in range(1 << red.network.n)
             )
             spaces_checked += 1

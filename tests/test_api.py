@@ -63,8 +63,8 @@ def test_public_names():
     assert names == PUBLIC_NAMES
 
 
-# the public members of the two core classes and of ReducedNetwork, inherited
-# ones included, pinned like the package names
+# the public members of the two core classes, of ReducedNetwork and of
+# StateTransitionGraph, inherited ones included, pinned like the package names
 PUBLIC_MEMBERS = {
     "Subspace": [
         "fixed_vars", "free_vars", "from_items", "from_state", "from_str", "is_fixed",
@@ -75,6 +75,7 @@ PUBLIC_MEMBERS = {
         "supports", "tables", "variables",
     ],
     "ReducedNetwork": ["fixing", "index_map", "network", "parent"],
+    "StateTransitionGraph": ["images", "n", "rule", "successors"],
 }
 
 

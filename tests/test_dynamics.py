@@ -1,10 +1,13 @@
+import copy
+import pickle
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapspaces import dynamics, expr, parse_network
+from trapspaces import GeneratorConfig, dynamics, expr, generate, parse_network
 from trapspaces.dynamics import (
     attractors,
     brute_force_trap_spaces,
@@ -61,23 +64,28 @@ def reference_successors(net, rule):
     return tuple(successors)
 
 
+def all_successors(stg):
+    """``stg.successors(x)`` for every state x, in state order."""
+    return tuple(stg.successors(x) for x in range(1 << stg.n))
+
+
 class TestBuildStg:
     def test_sync_successor_is_the_image(self, example_net):
         stg = build_stg(example_net, "sync")
         assert stg.rule == "sync" and stg.n == 4
         for x in range(16):
-            assert stg.successors[x] == (image_int(example_net, x),)
+            assert stg.successors(x) == (image_int(example_net, x),)
 
     def test_async_single_flips_toward_image(self, example_net):
         stg = build_stg(example_net, "async")
         # F(0110) = 1000: v1, v2 and v3 may each flip
-        assert stg.successors[0b0110] == (0b0010, 0b0100, 0b1110)
+        assert stg.successors(0b0110) == (0b0010, 0b0100, 0b1110)
         # F(0000) = 0001: only v4 flips
-        assert stg.successors[0b0000] == (0b0001,)
+        assert stg.successors(0b0000) == (0b0001,)
 
     def test_async_steady_state_self_loops(self, example_net):
         stg = build_stg(example_net, "async")
-        assert stg.successors[0b1101] == (0b1101,)
+        assert stg.successors(0b1101) == (0b1101,)
 
     def test_unknown_rule(self, example_net):
         with pytest.raises(TrapSpacesError):
@@ -93,14 +101,40 @@ class TestBuildStg:
         for net in corpus(200):
             if net.n <= 8:
                 for rule in ("sync", "async"):
-                    assert build_stg(net, rule).successors == reference_successors(net, rule)
+                    assert all_successors(build_stg(net, rule)) == reference_successors(net, rule)
+
+    def test_graph_is_an_unhashable_value(self, example_net):
+        # the images are a mutable array, so the graph compares by value but
+        # does not hash
+        stg = build_stg(example_net, "async")
+        assert stg.images.typecode == "Q" and len(stg.images) == 16
+        copies = [pickle.loads(pickle.dumps(stg, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.deepcopy(stg)]
+        for copied in copies:
+            assert copied is not stg and copied == stg
+            assert all_successors(copied) == all_successors(stg)
+        assert stg != build_stg(example_net, "sync")
+        with pytest.raises(TypeError):
+            hash(stg)
+
+    def test_graph_holds_one_image_per_state(self):
+        # the image array and Tarjan's arrays peak at 1.1 MB; one successor
+        # tuple per state would peak at 6.2 MB
+        net = generate(GeneratorConfig(14, 3, seed=1))
+        tracemalloc.start()
+        try:
+            attractors(build_stg(net, "async"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     @pytest.mark.parametrize("block", [1, 4])
     def test_columns_read_in_blocks(self, example_net, monkeypatch, block):
         # 16 states in blocks of 1 or 4: each block is read at its offset
         monkeypatch.setattr(dynamics, "_BLOCK", block)
         for rule in ("sync", "async"):
-            assert build_stg(example_net, rule).successors == reference_successors(
+            assert all_successors(build_stg(example_net, rule)) == reference_successors(
                 example_net, rule
             )
 
@@ -136,7 +170,7 @@ class TestAttractors:
                 for x in range(1 << net.n):
                     seen, frontier = {x}, [x]
                     while frontier:
-                        for y in stg.successors[frontier.pop()]:
+                        for y in stg.successors(frontier.pop()):
                             if y not in seen:
                                 seen.add(y)
                                 frontier.append(y)
@@ -160,7 +194,7 @@ class TestAttractors:
                         x
                         for x in range(16)
                         if x not in basin
-                        and any(y in basin for y in stg.successors[x])
+                        and any(y in basin for y in stg.successors(x))
                     }
             assert basin == set(range(16))
 
