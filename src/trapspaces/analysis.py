@@ -52,16 +52,16 @@ def reduce(net: BooleanNetwork, p: Subspace, unchecked: bool = False) -> Reduced
 
 
 class CyclicLowerBound(Value):
-    __slots__ = _fields = ("count", "witnesses", "oscillating_candidates", "complete")
+    __slots__ = _fields = ("count", "witnesses", "oscillating_candidates", "stop")
     __hash__ = None
     count: int
     witnesses: list[Subspace]
     # per witness, the free variables (some of which must oscillate)
     oscillating_candidates: list[list[str]]
-    # False when --limit truncated the minimal trap spaces: every space
-    # listed is still minimal, so the count is still a lower bound, and a
-    # complete run may raise it
-    complete: bool
+    # why the minimal trap spaces end: "complete", "limit" or "timeout".
+    # Every space listed is minimal either way, so the count is a lower
+    # bound, and a complete run may raise it
+    stop: str
 
 
 def cyclic_attractor_lower_bound(
@@ -71,7 +71,7 @@ def cyclic_attractor_lower_bound(
 ) -> CyclicLowerBound:
     """|minimal trap spaces that are not steady states|: each such space is a
     trap set without steady states, so it contains a cyclic attractor."""
-    report = _solver.min_trap_spaces(net, limit, timeout)
+    report = _solver._record(_solver.min_trap_spaces, net, limit, timeout)
     witnesses = [p for p in report.spaces if not p.is_state]
     return CyclicLowerBound(
         count=len(witnesses),
@@ -79,19 +79,21 @@ def cyclic_attractor_lower_bound(
         oscillating_candidates=[
             [net.variables[v] for v in p.free_vars()] for p in witnesses
         ],
-        complete=report.complete,
+        stop=report.stop,
     )
 
 
 class CommitmentTable(Value):
     __slots__ = _fields = ("spaces", "steady_counts", "sync_cyclic_counts",
-                           "async_cyclic_counts", "complete")
+                           "async_cyclic_counts", "stop")
     __hash__ = None
     spaces: list[Subspace]
     steady_counts: list[int]
     sync_cyclic_counts: Optional[list[int]]
     async_cyclic_counts: Optional[list[int]]
-    complete: bool  # False when the limit truncated the spaces or steady states
+    # the worse of the two searches' stops, and at least "cap" when the
+    # attractor columns are omitted
+    stop: str
 
 
 def commitment_table(
@@ -109,22 +111,22 @@ def commitment_table(
     from the solver.
     """
     g = build_graph(net)
-    report = _solver.max_trap_spaces(net, limit, timeout, graph=g)
+    report = _solver._record(_solver.max_trap_spaces, net, limit, timeout, g)
     spaces = report.spaces
     steady, steady_stop = _solver._steady_upto(net, limit, timeout, g)
-    complete = report.complete and steady_stop == "complete"
+    stop = _solver._worst(report.stop, steady_stop)
     steady_counts = [len(inside) for inside in _inside(steady, spaces)]
     try:
         sync = _dynamics.build_stg(net, "sync", stg_cap)
     except CapExceededError:
-        return CommitmentTable(spaces, steady_counts, None, None, complete)
+        return CommitmentTable(spaces, steady_counts, None, None, _solver._worst(stop, "cap"))
     cyclic_counts = []
     # both rules read the one image array of the synchronous graph
     for stg in (sync, _dynamics.StateTransitionGraph("async", net.n, sync.images)):
         attrs, enclosing = _attractors(stg)
         cyclic = [q for a, q in zip(attrs, enclosing) if len(a) > 1]
         cyclic_counts.append([len(inside) for inside in _inside(cyclic, spaces)])
-    return CommitmentTable(spaces, steady_counts, *cyclic_counts, complete)
+    return CommitmentTable(spaces, steady_counts, *cyclic_counts, stop)
 
 
 def _attractors(stg: _dynamics.StateTransitionGraph) -> tuple[list[list[int]], list[Subspace]]:
@@ -147,12 +149,14 @@ class SpaceAudit(Value):
 
 
 class AttractorAudit(Value):
-    __slots__ = _fields = ("rule", "per_space", "outside", "complete")
+    __slots__ = _fields = ("rule", "per_space", "outside", "stop")
     __hash__ = None
     rule: str
     per_space: list[SpaceAudit]
-    outside: list[list[int]]  # attractors contained in no minimal trap space
-    complete: bool  # False when the limit truncated the minimal trap spaces
+    # attractors contained in no minimal trap space listed: an upper bound
+    # on those outside them all unless the list is complete
+    outside: list[list[int]]
+    stop: str  # why the minimal trap spaces end: "complete", "limit" or "timeout"
 
 
 def attractor_trapspace_audit(
@@ -165,11 +169,11 @@ def attractor_trapspace_audit(
     """Per minimal trap space: the attractors it contains and whether their
     enclosing subspace is exactly the space; plus attractors outside all
     minimal trap spaces."""
-    report = _solver.min_trap_spaces(net, limit, timeout)
+    report = _solver._record(_solver.min_trap_spaces, net, limit, timeout)
     attrs, enclosing = _attractors(_dynamics.build_stg(net, rule, stg_cap))
     inside = _inside(enclosing, report.spaces)
     per_space = [SpaceAudit(p, len(ins), [enclosing[i] == p for i in ins])
                  for p, ins in zip(report.spaces, inside)]
     covered = set().union(*inside)
     outside = [a for i, a in enumerate(attrs) if i not in covered]
-    return AttractorAudit(rule, per_space, outside, report.complete)
+    return AttractorAudit(rule, per_space, outside, report.stop)

@@ -24,8 +24,7 @@ from . import expr as _expr
 from . import randgen as _randgen
 from . import solver as _solver
 from ._value import Value
-from .errors import (CapExceededError, SolverTimeoutError, SupportTooLargeError,
-                     TrapSpacesError)
+from .errors import CapExceededError, SupportTooLargeError, TrapSpacesError
 from .primes import build_graph
 from .space import BooleanNetwork, Subspace, select_trap_spaces
 
@@ -134,7 +133,8 @@ def _require_k(k: float) -> None:
 class _Result(Value):
     """What a command produced. ``text`` is its plain output and ``doc`` its
     ``--json`` document (None where it has none). ``stop`` says why it
-    stopped: "complete", "limit", "timeout" or "mismatch" (``check``).
+    stopped: "complete", "limit", "timeout", "cap" (``commitment``) or
+    "mismatch" (``check``).
     ``notes`` go to stderr along with the text form."""
 
     __slots__ = _fields = ("text", "doc", "stop", "notes")
@@ -153,11 +153,13 @@ class _Result(Value):
 
 
 _EXIT = {"complete": EXIT_OK, "limit": EXIT_RESOURCE, "timeout": EXIT_RESOURCE,
-         "mismatch": EXIT_INPUT}
+         "cap": EXIT_RESOURCE, "mismatch": EXIT_INPUT}
 _WARNINGS = {
     "limit": "warning: enumeration truncated by --limit",
     "timeout": "resource limit: solver wall-clock budget exhausted; "
                "the results printed are those found before it",
+    "cap": "resource limit: the state transition graph exceeds --stg-cap; "
+           "the attractor rows are left out",
 }
 
 
@@ -216,10 +218,7 @@ def _cmd_trapspaces(args, net: BooleanNetwork) -> _Result:
         return _spaces(net, "all", spaces[:args.limit], stop)
     g = build_graph(net)
     fn = _solver.min_trap_spaces if args.mode == "min" else _solver.max_trap_spaces
-    try:
-        result = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
-    except SolverTimeoutError as exc:
-        result = exc.partial
+    result = _solver._record(fn, net, args.limit, args.timeout, g)
     stats = {"arcs": g.m, "iterations": result.iterations, "nodes": result.nodes,
              "elapsed": result.elapsed, "complete": result.complete, "stop": result.stop}
     return _spaces(net, args.mode, result.spaces, result.stop,
@@ -227,10 +226,7 @@ def _cmd_trapspaces(args, net: BooleanNetwork) -> _Result:
 
 
 def _cmd_steady(args, net: BooleanNetwork) -> _Result:
-    try:
-        states, stop = _solver._steady_upto(net, args.limit, args.timeout, build_graph(net))
-    except SolverTimeoutError as exc:
-        states, stop = exc.partial.spaces[:args.limit], "timeout"
+    states, stop = _solver._steady_upto(net, args.limit, args.timeout, build_graph(net))
     return _spaces(net, "steady", states, stop)
 
 
@@ -261,7 +257,7 @@ def _cmd_bound(args, net: BooleanNetwork) -> _Result:
         "witnesses": [str(p) for p in bound.witnesses],
         "oscillating_candidates": bound.oscillating_candidates,
     }
-    return _Result(_lines(rows), doc, "complete" if bound.complete else "limit")
+    return _Result(_lines(rows), doc, bound.stop)
 
 
 def _cmd_commitment(args, net: BooleanNetwork) -> _Result:
@@ -271,8 +267,7 @@ def _cmd_commitment(args, net: BooleanNetwork) -> _Result:
                           ("async-cyclic", table.async_cyclic_counts)):
         if counts is not None:
             rows.append([label] + counts)
-    return _Result(_lines(",".join(map(str, row)) for row in rows),
-                   stop="complete" if table.complete else "limit")
+    return _Result(_lines(",".join(map(str, row)) for row in rows), stop=table.stop)
 
 
 def _cmd_audit(args, net: BooleanNetwork) -> _Result:
@@ -290,7 +285,7 @@ def _cmd_audit(args, net: BooleanNetwork) -> _Result:
         ],
         "outside": [len(a) for a in audit.outside],
     }
-    return _Result(_lines(rows), doc, "complete" if audit.complete else "limit")
+    return _Result(_lines(rows), doc, audit.stop)
 
 
 def _cmd_check(args, net: BooleanNetwork) -> _Result:
@@ -298,29 +293,24 @@ def _cmd_check(args, net: BooleanNetwork) -> _Result:
     oracle_min = select_trap_spaces(oracle, "min")
     oracle_max = select_trap_spaces(oracle, "max")
     g = build_graph(net)
-    got_min = _solver.min_trap_spaces(net, args.limit, args.timeout, graph=g)
-    got_max = _solver.max_trap_spaces(net, args.limit, args.timeout, graph=g)
+    got_min = _solver._record(_solver.min_trap_spaces, net, args.limit, args.timeout, g)
+    got_max = _solver._record(_solver.max_trap_spaces, net, args.limit, args.timeout, g)
     got_steady, steady_stop = _solver._steady_upto(net, args.limit, args.timeout, g)
     oracle_steady = [p for p in oracle_min if p.is_state]
     failures = []
-    stop = "complete"
     for label, got, got_stop, expected in [
         ("min", got_min.spaces, got_min.stop, oracle_min),
         ("max", got_max.spaces, got_max.stop, oracle_max),
         ("steady", got_steady, steady_stop, oracle_steady),
     ]:
-        # both lists are sorted by pattern
-        if got_stop == "complete":
-            ok = got == expected
-        else:
-            # a list cut short by --limit must still hold only oracle spaces
-            ok = set(got) <= set(expected)
-            stop = "limit"
-        if not ok:
+        # both lists are sorted by pattern; one cut short must still hold
+        # only oracle spaces
+        if not (got == expected if got_stop == "complete" else set(got) <= set(expected)):
             failures.append(f"MISMATCH {label}: solver={list(map(str, got))} "
                             f"oracle={list(map(str, expected))}")
     if failures:
         return _Result("", stop="mismatch", notes=tuple(failures))
+    stop = _solver._worst(got_min.stop, got_max.stop, steady_stop)
     return _Result("OK\n" if stop == "complete" else "", stop=stop)
 
 
@@ -357,12 +347,11 @@ def _cmd_bench(args, _net: None) -> _Result:
         g = build_graph(net)
         row = [n, seed, g.m]
         for fn in (_solver.min_trap_spaces, _solver.max_trap_spaces):
-            try:
-                result = fn(net, limit=args.limit, timeout=args.timeout, graph=g)
-            except SolverTimeoutError:
-                return _Result(_lines(rows), stop="timeout")
-            if result.stop == "limit":
-                stop = "limit"
+            result = _solver._record(fn, net, args.limit, args.timeout, g)
+            stop = _solver._worst(stop, result.stop)
+            if stop == "timeout":
+                # the first timed-out search ends the grid
+                return _Result(_lines(rows), stop=stop)
             fixed = [sol.induced.num_fixed for sol in result.solutions]
             mean_fixed = sum(fixed) / len(fixed) if fixed else 0.0
             row.extend([len(fixed), f"{mean_fixed:.2f}", f"{result.elapsed * 1000.0:.1f}"])
@@ -397,7 +386,7 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapExceededError, SupportTooLargeError, SolverTimeoutError) as exc:
+    except (CapExceededError, SupportTooLargeError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (OSError, ValueError, TrapSpacesError) as exc:

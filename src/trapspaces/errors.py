@@ -48,8 +48,10 @@ class NotATrapSpaceError(TrapSpacesError):
 
 
 class SolverTimeoutError(TrapSpacesError):
-    """Raised when enumeration exceeds the configured wall-clock budget;
-    ``partial`` holds what was found before, flagged incomplete."""
+    """Raised by the public searches when enumeration exceeds the configured
+    wall-clock budget. ``partial`` is the search's record, stop "timeout":
+    every space it lists is extremal, so it is a sound partial answer. The
+    ``analysis`` functions and the CLI read it and never raise this."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

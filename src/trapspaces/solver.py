@@ -30,6 +30,8 @@ inclusion-minimal non-empty ones the maximal trap spaces.
 
 Every search returns one record, ``EnumerationResult``. ``min_trap_spaces``
 and ``max_trap_spaces`` return it, and ``steady_states`` returns its spaces.
+At the deadline they raise SolverTimeoutError carrying the partial record;
+the package's own callers read it through ``_record`` and ``_steady_upto``.
 """
 
 from __future__ import annotations
@@ -380,6 +382,16 @@ def enumerate_extremal(
     return result(stop)
 
 
+def _graph_of(net: BooleanNetwork, graph: Optional[PrimeImplicantGraph]) -> PrimeImplicantGraph:
+    """``graph``, or the graph of ``net`` when it is None. Raises
+    TrapSpacesError when ``graph`` belongs to another network."""
+    if graph is None:
+        return build_graph(net)
+    if graph.network is not net and graph.network != net:
+        raise TrapSpacesError("the graph belongs to another network")
+    return graph
+
+
 def min_trap_spaces(
     net: BooleanNetwork,
     limit: int = DEFAULT_LIMIT,
@@ -389,7 +401,7 @@ def min_trap_spaces(
     """Minimal trap spaces: the spaces induced by the maximal stable and
     consistent arc sets. When a complete search finds no proper trap space,
     the whole space is the unique minimal one, with the empty arc set."""
-    g = graph if graph is not None else build_graph(net)
+    g = _graph_of(net, graph)
     result = enumerate_extremal(g, "max", limit, timeout)
     if result.complete and not result.solutions:
         result.solutions.append(ArcSetSolution((), Subspace.whole(g.n)))
@@ -404,8 +416,7 @@ def max_trap_spaces(
 ) -> EnumerationResult:
     """Maximal trap spaces strictly below the whole space: the spaces
     induced by the minimal non-empty stable and consistent arc sets."""
-    g = graph if graph is not None else build_graph(net)
-    return enumerate_extremal(g, "min", limit, timeout)
+    return enumerate_extremal(_graph_of(net, graph), "min", limit, timeout)
 
 
 def steady_states(
@@ -416,15 +427,40 @@ def steady_states(
 ) -> list[Subspace]:
     """All states x with F(x) = x, sorted by pattern: the all-variables-fixed
     solutions of the arc-set constraint system (computed independently of
-    min_trap_spaces)."""
-    g = graph if graph is not None else build_graph(net)
-    return enumerate_extremal(g, "steady", limit, timeout).spaces
+    min_trap_spaces). The bare list cannot show that ``limit`` cut it
+    short; ``enumerate_extremal(g, "steady", ...)`` returns the record
+    with its stop. Raises SolverTimeoutError at the deadline."""
+    return enumerate_extremal(_graph_of(net, graph), "steady", limit, timeout).spaces
+
+
+# why a search, or a command made of searches, stopped, from best to worst;
+# "cap" is a state graph above its cap
+_STOPS = ("complete", "limit", "cap", "timeout")
+
+
+def _worst(*stops: str) -> str:
+    return max(stops, key=_STOPS.index)
+
+
+def _record(search, net: BooleanNetwork, limit: int, timeout: Optional[float],
+            graph: Optional[PrimeImplicantGraph] = None) -> EnumerationResult:
+    """The record of ``search`` (``min_trap_spaces`` or ``max_trap_spaces``)
+    on ``net``; when the deadline stops it, the partial record, stop
+    "timeout". Every space it lists is extremal either way."""
+    try:
+        return search(net, limit, timeout, graph)
+    except SolverTimeoutError as exc:
+        return exc.partial
 
 
 def _steady_upto(net: BooleanNetwork, limit: int, timeout: Optional[float],
                  graph: PrimeImplicantGraph) -> tuple[list[Subspace], str]:
-    """The first ``limit`` steady states, and "limit" if there are more, else
-    "complete": one state more than the limit tells a truncated list from a
-    full one. Raises SolverTimeoutError as ``steady_states`` does."""
-    states = steady_states(net, limit + 1, timeout, graph)
+    """The first ``limit`` steady states and why the list ends: "limit" if
+    there are more (one state more than the limit tells a truncated list
+    from a full one), "timeout" if the deadline stopped the search, else
+    "complete"."""
+    try:
+        states = steady_states(net, limit + 1, timeout, graph)
+    except SolverTimeoutError as exc:
+        return exc.partial.spaces[:limit], "timeout"
     return states[:limit], "limit" if len(states) > limit else "complete"

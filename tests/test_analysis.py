@@ -128,7 +128,7 @@ class TestCommitmentTable:
         nonzero = set()
         for net in corpus(30, sizes=(4, 5, 6), seed0=1300):
             table = commitment_table(net)
-            assert table.complete
+            assert table.stop == "complete"
 
             def counts(items):
                 # per maximal trap space, the items with every state inside it
@@ -154,6 +154,9 @@ class TestCommitmentTable:
         assert table.steady_counts == [0, 1]
         assert table.sync_cyclic_counts is None
         assert table.async_cyclic_counts is None
+        assert table.stop == "cap"
+        # a timed-out search is the worse stop
+        assert commitment_table(example_net, stg_cap=3, timeout=0).stop == "timeout"
 
 
 class TestAttractorAudit:
@@ -183,3 +186,13 @@ class TestAttractorAudit:
                 n_attrs = len(attractors(build_stg(net, rule)))
                 # minimal trap spaces are disjoint, so counts partition
                 assert total + len(audit.outside) == n_attrs
+
+
+@pytest.mark.parametrize("analyse", [
+    cyclic_attractor_lower_bound,
+    commitment_table,
+    lambda net, **budget: attractor_trapspace_audit(net, "sync", **budget),
+], ids=["bound", "commitment", "audit"])
+@pytest.mark.parametrize("budget, stop", [({"timeout": 0}, "timeout"), ({"limit": 1}, "limit")])
+def test_a_stopped_search_returns_its_partial_record(example_net, analyse, budget, stop):
+    assert analyse(example_net, **budget).stop == stop

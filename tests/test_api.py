@@ -92,7 +92,7 @@ SHARED_CONSTRUCTOR = {
     "EnumerationResult": (EnumerationResult, {"solutions": [], "stop": "complete",
                                               "iterations": 1, "nodes": 2, "elapsed": 0.5}),
     "CyclicLowerBound": (CyclicLowerBound, {"count": 0, "witnesses": [],
-                                            "oscillating_candidates": [], "complete": True}),
+                                            "oscillating_candidates": [], "stop": "complete"}),
 }
 
 

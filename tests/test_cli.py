@@ -17,6 +17,9 @@ from conftest import EXAMPLE_TEXT, NEGATION_CYCLE_TEXT, corpus, fixture_path
 
 
 MODEL_EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "models", "example.bnet")
+LIMIT_WARNING = "warning: enumeration truncated by --limit\n"
+TIMEOUT_WARNING = ("resource limit: solver wall-clock budget exhausted; "
+                   "the results printed are those found before it\n")
 
 
 def run(capsys, *argv):
@@ -295,10 +298,9 @@ class TestBound:
 
 
     def test_limit_truncation_exits_3(self, capsys, example_file):
+        # the first minimal trap space found is the steady state 1101
         code, out, err = run(capsys, "--limit", "1", "bound", example_file)
-        assert code == 3
-        assert out.startswith("cyclic attractors >= ")
-        assert "truncated" in err
+        assert (code, out, err) == (3, "cyclic attractors >= 0\n", LIMIT_WARNING)
 
 
 class TestCommitment:
@@ -313,16 +315,18 @@ class TestCommitment:
         ]
 
     def test_cyclic_rows_dropped_beyond_cap(self, capsys, example_file):
-        code, out, _ = run(capsys, "--stg-cap", "3", "commitment", example_file)
-        assert code == 0
+        code, out, err = run(capsys, "--stg-cap", "3", "commitment", example_file)
+        assert code == 3
         assert out.splitlines() == ["row,00--,1---", "steady,0,1"]
+        assert err == ("resource limit: the state transition graph exceeds --stg-cap; "
+                       "the attractor rows are left out\n")
 
 
     def test_limit_truncation_exits_3(self, capsys, example_file):
         code, out, err = run(capsys, "--limit", "1", "commitment", example_file)
         assert code == 3
-        assert len(out.splitlines()[0].split(",")) == 2  # the row label and one space
-        assert "truncated" in err
+        assert out == "row,1---\nsteady,1\nsync-cyclic,0\nasync-cyclic,0\n"
+        assert err == LIMIT_WARNING
 
 
 class TestAudit:
@@ -342,10 +346,11 @@ class TestAudit:
 
 
     def test_limit_truncation_exits_3(self, capsys, example_file):
+        # the async attractor in 00-- is outside the one space listed
         code, out, err = run(capsys, "--limit", "1", "audit", example_file)
         assert code == 3
-        assert out.splitlines()[-1].startswith("attractors outside")
-        assert "truncated" in err
+        assert out == "1101 attractors=1 tight\nattractors outside all minimal trap spaces: 1\n"
+        assert err == LIMIT_WARNING
 
 
 def count_search_mask_builds(monkeypatch):
@@ -385,9 +390,19 @@ class TestCheck:
 
     def test_limit_truncation_exits_3(self, capsys, example_file):
         code, out, err = run(capsys, "--limit", "1", "check", example_file)
-        assert code == 3
-        assert out == ""
-        assert "truncated" in err and "MISMATCH" not in err
+        assert (code, out, err) == (3, "", LIMIT_WARNING)
+
+    def test_timed_out_lists_are_still_checked(self, capsys, example_file, monkeypatch):
+        # a partial list holding a space the oracle rejects is a mismatch
+        def wrong_max(*args, **kwargs):
+            wrong = ArcSetSolution((), Subspace.from_str("0---"))
+            raise SolverTimeoutError("solver wall-clock budget exhausted",
+                                     EnumerationResult([wrong], "timeout", 1, 0, 0.0))
+
+        monkeypatch.setattr(cli._solver, "max_trap_spaces", wrong_max)
+        code, out, err = run(capsys, "--timeout", "0", "check", example_file)
+        assert (code, out) == (2, "")
+        assert "MISMATCH max: solver=['0---']" in err
 
     def test_three_searches_share_one_bitmask_view(self, capsys, example_file,
                                                    monkeypatch):
@@ -478,6 +493,19 @@ class TestCheck:
         assert "support of size 5 exceeds cap of 4" in err
 
 
+# every search stops before its first leaf, so no space is listed and
+# both attractors of the example count as outside
+@pytest.mark.parametrize("command, want_out", [
+    ("bound", "cyclic attractors >= 0\n"),
+    ("commitment", "row\nsteady\nsync-cyclic\nasync-cyclic\n"),
+    ("audit", "attractors outside all minimal trap spaces: 2\n"),
+    ("check", ""),
+])
+def test_a_timed_out_search_prints_what_it_found(capsys, command, want_out):
+    code, out, err = run(capsys, "--timeout", "0", command, MODEL_EXAMPLE)
+    assert (code, out, err) == (3, want_out, TIMEOUT_WARNING)
+
+
 class TestRandom:
     def test_stdout_round_trips(self, capsys):
         code, out, _ = run(capsys, "random", "--n", "6", "--seed", "9")
@@ -559,7 +587,8 @@ class TestBench:
         # the max-mode solve of the first 8-variable network times out
         def max_timing_out(net, *args, **kwargs):
             if net.n == 8:
-                raise SolverTimeoutError("solver wall-clock budget exhausted")
+                raise SolverTimeoutError("solver wall-clock budget exhausted",
+                                         EnumerationResult([], "timeout", 1, 0, 0.0))
             return solve_max(net, *args, **kwargs)
 
         solve_max = cli._solver.max_trap_spaces
@@ -763,8 +792,8 @@ def test_golden_cli_hash(capsys, tmp_path):
     # SHA-256 over (argv, exit code, stdout, stderr) of 13 command forms x
     # {plain, --json, --timeout 0} on the example, the negation cycle (whose
     # only minimal trap space is the whole space) and the first 12 networks
-    # of corpus(200), recorded before the commands shared one renderer;
-    # elapsed times are masked and the file path replaced by a placeholder
+    # of corpus(200); elapsed times are masked and the file path replaced by
+    # a placeholder
     texts = [EXAMPLE_TEXT, NEGATION_CYCLE_TEXT] + [write_network(net) for net in corpus(12)]
     digest = hashlib.sha256()
     for i, text in enumerate(texts):
@@ -781,7 +810,7 @@ def test_golden_cli_hash(capsys, tmp_path):
                 record = [argv[:-1], code, out, err.replace(str(path), "<file>")]
                 digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == (
-        "626020e86907246b8ddb54e59649d23af3a32b22cf39a155559e1030bcfdd6fd")
+        "150d9c968d3de86a0fd38eac17dfc2dddac182e87e76a9839cf9f80ddf963343")
 
 
 def test_import_loads_no_process_pool_and_no_dataclasses():

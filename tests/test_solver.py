@@ -15,7 +15,9 @@ from trapspaces.errors import (
     TrapSpacesError,
 )
 from trapspaces.solver import (
+    _record,
     _Search,
+    _steady_upto,
     enumerate_extremal,
     induced_subspace,
     is_consistent,
@@ -158,6 +160,13 @@ class TestEnumerateExtremal:
         assert partial.stop == "timeout" and not partial.complete
         assert partial.solutions == []
 
+    def test_package_callers_read_the_partial_record(self):
+        net = next(corpus(1, sizes=(40,), seed0=600))
+        g = build_graph(net)
+        for search in (min_trap_spaces, max_trap_spaces):
+            assert _record(search, net, 5, 0.0, g).stop == "timeout"
+        assert _steady_upto(net, 5, 0.0, g) == ([], "timeout")
+
     def test_stop_reasons(self, example_graph):
         assert enumerate_extremal(example_graph, "max").stop == "complete"
         assert enumerate_extremal(example_graph, "max", limit=1).stop == "limit"
@@ -275,6 +284,17 @@ class TestTrapSpaceReports:
         assert [str(x) for x in steady_states(example_net, graph=example_graph)] == [
             "1101"
         ]
+
+    @pytest.mark.parametrize("search", [min_trap_spaces, max_trap_spaces, steady_states])
+    def test_graph_of_another_network_is_refused(self, negation_cycle, example_graph,
+                                                  search):
+        with pytest.raises(TrapSpacesError, match="another network"):
+            search(negation_cycle, graph=example_graph)
+
+    def test_graph_of_an_equal_network_is_accepted(self, example_net, example_graph):
+        copy = BooleanNetwork(example_net.variables, example_net.functions)
+        assert copy is not example_net
+        assert min_trap_spaces(copy, graph=example_graph).spaces == [S("00--"), S("1101")]
 
     def test_negation_cycle_min_is_whole_space(self, negation_cycle):
         report = min_trap_spaces(negation_cycle)

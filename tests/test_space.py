@@ -127,11 +127,11 @@ class TestValueSemantics:
 
         assert result(0.5) == result(0.5) and result(0.5) != result(0.25)
         bound = CyclicLowerBound(count=1, witnesses=[S("1-")], oscillating_candidates=[["b"]],
-                                 complete=True)
-        assert bound == CyclicLowerBound(1, [S("1-")], [["b"]], True)
+                                 stop="complete")
+        assert bound == CyclicLowerBound(1, [S("1-")], [["b"]], "complete")
         assert repr(bound) == ("CyclicLowerBound(count=1, witnesses=[Subspace(n=2, mask=2, "
-                               "vals=2)], oscillating_candidates=[['b']], complete=True)")
-        for record, field in ((result(0.5), "stop"), (bound, "complete")):
+                               "vals=2)], oscillating_candidates=[['b']], stop='complete')")
+        for record, field in ((result(0.5), "stop"), (bound, "stop")):
             with pytest.raises(TypeError):
                 hash(record)
             with pytest.raises(AttributeError):
