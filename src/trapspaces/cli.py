@@ -276,7 +276,9 @@ def _cmd_audit(args, net: BooleanNetwork) -> _Result:
     rows = [f"{a.space} attractors={a.attractor_count} "
             + (" ".join("tight" if t else "loose" for t in a.tight) or "-")
             for a in audit.per_space]
-    rows.append(f"attractors outside all minimal trap spaces: {len(audit.outside)}")
+    where = ("all minimal trap spaces" if audit.stop == "complete"
+             else "the minimal trap spaces found")
+    rows.append(f"attractors outside {where}: {len(audit.outside)}")
     doc = {
         "update": audit.rule,
         "spaces": [

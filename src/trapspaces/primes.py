@@ -19,7 +19,11 @@ variables by a fixed number of big-integer operations per variable: the
 2^k-bit table is expanded into a 3^k-bit cube table, one bit per cube,
 that holds the implicants; a filter keeps the implicants that no implicant
 with one more free variable contains; the set bits, read in ascending
-order, are the primes in lexicographic tail order.
+order, are the primes in lexicographic tail order. A set bit q is decoded
+in constant time: split as q_hi * 3^h + q_lo with h = k // 2, it is the OR
+of two entries of per-function digit tables, one over the low h digits
+and one over the high k - h, and one call per function reads both the
+1-primes and the 0-primes through the same two tables.
 """
 
 from __future__ import annotations
@@ -75,36 +79,58 @@ def _prime_table(table: int, k: int, memo: dict) -> int:
     return table & ~kill
 
 
-def _implicant_litmasks(support: tuple[int, ...], table: int, target: int, c: int,
-                        memo: dict) -> list[int]:
-    """The c-prime implicants of a function as literal masks (bit 2*v + d
-    for the literal (v, d)), from its truth table over its syntactic
-    support, in lexicographic tail order. Only a constant function c has an
-    empty prime; it becomes the literal (target, c).
+def _implicant_litmasks(support: tuple[int, ...], table: int, target: int,
+                        memo: dict) -> tuple[list[int], list[int]]:
+    """The 1-prime and the 0-prime implicants of a function as literal
+    masks (bit 2*v + d for the literal (v, d)), from its truth table over
+    its syntactic support, each list in lexicographic tail order. Only a
+    constant function c has an empty prime; it becomes the literal
+    (target, c).
 
     A variable f does not depend on is free in every prime. The first
     support variable is the most significant digit of ``_prime_table``, and
     a tail with it at 0 sorts before one with it at 1, both before the
     tails without it, and so on down the digits: ascending index order is
     tail order. The set bits are read off one binary string, scanned from
-    its end."""
+    its end. Each index q is split as q_hi * 3^h + q_lo, h = k // 2, and
+    two digit tables, built once per function and shared by both values,
+    give the literal mask of the h low digits and of the k - h high ones:
+    a prime costs one ``divmod``, two lookups and one OR."""
     k = len(support)
-    if not c:
-        table ^= (1 << (1 << k)) - 1
-    # digit j is the variable support[k-1-j]; its literal mask per value
-    digits = [(lit, lit << 1, 0) for lit in (1 << 2 * v for v in reversed(support))]
-    bits = format(_prime_table(table, k, memo), "b")
-    top = len(bits) - 1
-    out = []
-    pos = bits.rfind("1")
-    while pos >= 0:
-        q, lits = top - pos, 0
-        for digit in digits:
-            q, d = divmod(q, 3)
-            lits |= digit[d]
-        out.append(lits or 1 << (2 * target + c))
-        pos = bits.rfind("1", 0, pos)
-    return out
+    h = k // 2
+    low, high = _digit_masks(support[k - h:]), _digit_masks(support[:k - h])
+    base = 3 ** h
+    ones: list[int] = []
+    zeros: list[int] = []
+    for c, value_table, primes in ((1, table, ones), (0, table ^ (1 << (1 << k)) - 1, zeros)):
+        bits = format(_prime_table(value_table, k, memo), "b")
+        top = len(bits) - 1
+        empty = 1 << (2 * target + c)
+        pos = bits.rfind("1")
+        while pos >= 0:
+            hi, lo = divmod(top - pos, base)
+            primes.append(high[hi] | low[lo] or empty)
+            pos = bits.rfind("1", 0, pos)
+        # up to 3^k characters (43 MB at k=16): free it before the next
+        # value's string is built
+        del bits
+    return ones, zeros
+
+
+def _digit_masks(part: tuple[int, ...]) -> list[int]:
+    """The literal mask of every digit string over the variables ``part``,
+    indexed by its value, the last variable the least significant digit
+    (0, 1 or free, as in ``_prime_table``). Each earlier variable becomes
+    the new top digit: the table is copied with its literal at 0, copied
+    with it at 1, and kept as is for it free."""
+    if not part:
+        return [0]
+    lit = 1 << 2 * part[-1]
+    masks = [lit, lit << 1, 0]
+    for v in part[-2::-1]:
+        lit = 1 << 2 * v
+        masks = [x | lit for x in masks] + [x | lit << 1 for x in masks] + masks
+    return masks
 
 
 def literals(litmask: int) -> tuple[Literal, ...]:
@@ -225,14 +251,15 @@ def build_graph(net: BooleanNetwork) -> PrimeImplicantGraph:
     """Enumerate all prime implicants of the network and assemble the graph.
 
     Per target variable, the 1-primes come before the 0-primes, each in
-    tail order, so arc ids follow without a sort. The functions' supports
-    must fit the network's ``support_cap``."""
+    tail order, so arc ids follow without a sort; one call of
+    ``_implicant_litmasks`` per function gives both lists from one pair of
+    digit tables. The functions' supports must fit the network's
+    ``support_cap``."""
     head_lit: list[int] = []
     tail_litmask: list[int] = []
     memo: dict = {}
     for i, (support, table) in enumerate(net.tables()):
-        for c in (1, 0):
-            tails = _implicant_litmasks(support, table, i, c, memo)
+        for c, tails in zip((1, 0), _implicant_litmasks(support, table, i, memo)):
             head_lit.extend([2 * i + c] * len(tails))
             tail_litmask.extend(tails)
     return PrimeImplicantGraph(net, head_lit, tail_litmask)

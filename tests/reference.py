@@ -5,7 +5,9 @@ explicit transition graph. The package decides these questions from one
 truth table per function (``BooleanNetwork.tables``) and the oracle's
 columns. ``image_int`` computes the image of a state itself, row by row
 off those tables, not through the package's ``image_subspace``.
-``embed_state`` maps a state of a reduced network back to its parent. Nothing
+``embed_state`` maps a state of a reduced network back to its parent.
+``implicant_litmasks`` decodes the prime cubes of a function one digit at
+a time, against which the package's two-table decode is checked. Nothing
 under ``src/`` calls the functions here. Two plain recursive AST walks, a
 formatter and the variables a function mentions, check the package's
 walkers, which read literal children inline.
@@ -13,6 +15,7 @@ walkers, which read literal children inline.
 
 from trapspaces.errors import TrapSpacesError
 from trapspaces.expr import And, Const, Not, Or, Var, _column, syntactic_support, truth_table
+from trapspaces.primes import _prime_table
 from trapspaces.space import Subspace
 
 
@@ -82,6 +85,29 @@ def tabulate(f) -> tuple[tuple[int, ...], int]:
     """The sorted syntactic support of ``f`` and the truth table over it."""
     support = tuple(sorted(syntactic_support(f)))
     return support, truth_table(f, support)
+
+
+def implicant_litmasks(support, table, target, c) -> list[int]:
+    """The c-prime implicants of a function as literal masks, in ascending
+    index order of ``_prime_table``, each index decoded digit by digit: k
+    ``divmod`` steps per prime, least significant digit (the last support
+    variable) first. An empty prime becomes the literal (target, c)."""
+    k = len(support)
+    if not c:
+        table ^= (1 << (1 << k)) - 1
+    digits = [(lit, lit << 1, 0) for lit in (1 << 2 * v for v in reversed(support))]
+    bits = format(_prime_table(table, k, {}), "b")
+    top = len(bits) - 1
+    out = []
+    pos = bits.rfind("1")
+    while pos >= 0:
+        q, lits = top - pos, 0
+        for digit in digits:
+            q, d = divmod(q, 3)
+            lits |= digit[d]
+        out.append(lits or 1 << (2 * target + c))
+        pos = bits.rfind("1", 0, pos)
+    return out
 
 
 def constant_value(f):

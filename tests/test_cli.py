@@ -45,6 +45,16 @@ class TestPrimes:
         assert lines[2] == "3 v1=0,v2=0 -> v1=0"
         assert lines[9] == "10 v3=0 -> v4=1"
 
+    @pytest.mark.parametrize("path, fixture", [
+        (MODEL_EXAMPLE, "example.primes"),
+        (fixture_path("random_n8_k3_seed7.bnet"), "random_n8_k3_seed7.primes"),
+    ])
+    def test_matches_golden_fixtures(self, capsys, path, fixture):
+        code, out, _ = run(capsys, "primes", path)
+        assert code == 0
+        with open(fixture_path(fixture), encoding="utf-8") as fh:
+            assert out == fh.read()
+
 
 class TestTrapspaces:
     def test_default_mode_is_min(self, capsys, example_file):
@@ -349,7 +359,8 @@ class TestAudit:
         # the async attractor in 00-- is outside the one space listed
         code, out, err = run(capsys, "--limit", "1", "audit", example_file)
         assert code == 3
-        assert out == "1101 attractors=1 tight\nattractors outside all minimal trap spaces: 1\n"
+        assert out == ("1101 attractors=1 tight\n"
+                       "attractors outside the minimal trap spaces found: 1\n")
         assert err == LIMIT_WARNING
 
 
@@ -498,7 +509,7 @@ class TestCheck:
 @pytest.mark.parametrize("command, want_out", [
     ("bound", "cyclic attractors >= 0\n"),
     ("commitment", "row\nsteady\nsync-cyclic\nasync-cyclic\n"),
-    ("audit", "attractors outside all minimal trap spaces: 2\n"),
+    ("audit", "attractors outside the minimal trap spaces found: 2\n"),
     ("check", ""),
 ])
 def test_a_timed_out_search_prints_what_it_found(capsys, command, want_out):
@@ -810,7 +821,7 @@ def test_golden_cli_hash(capsys, tmp_path):
                 record = [argv[:-1], code, out, err.replace(str(path), "<file>")]
                 digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == (
-        "150d9c968d3de86a0fd38eac17dfc2dddac182e87e76a9839cf9f80ddf963343")
+        "9b5c1c03eda95cd7ed5427105ce8e1554b207a9e07b2f7621b30920d5012c5d4")
 
 
 def test_import_loads_no_process_pool_and_no_dataclasses():

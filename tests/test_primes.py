@@ -25,7 +25,7 @@ from trapspaces.primes import (
 from trapspaces.space import BooleanNetwork, Subspace, subspace_leq
 
 from conftest import corpus, dense, expressions
-from reference import constant_value, evaluate, referenced_states
+from reference import constant_value, evaluate, implicant_litmasks, referenced_states
 
 VOCAB = ("v1", "v2", "v3", "v4")
 
@@ -36,7 +36,7 @@ def prime_spaces(f, c, target, n, cap=DEFAULT_SUPPORT_CAP):
     support = tuple(sorted(syntactic_support(f)))
     table = truth_table(f, support, cap)
     return [Subspace.from_items(n, literals(lits))
-            for lits in _implicant_litmasks(support, table, target, c, {})]
+            for lits in _implicant_litmasks(support, table, target, {})[1 - c]]
 
 
 def primes_of(text, c, target=0, n=4, vocab=VOCAB):
@@ -201,7 +201,7 @@ class TestPrimeCubes:
                         vals |= d << b
                 cubes.add((mask, vals))
         assert cubes == want
-        lits = _implicant_litmasks(tuple(range(k)), table, k, 1, {})
+        lits = _implicant_litmasks(tuple(range(k)), table, k, {})[0]
         if table == (1 << (1 << k)) - 1:
             # a tautology's one prime is the empty cube: the self-loop literal
             assert lits == [1 << (2 * k + 1)]
@@ -234,7 +234,7 @@ class TestPrimeCubes:
         for other in draws[1:]:
             table = table & other if data.draw(st.booleans()) else table | other
         assume(table != full)  # a tautology has the empty prime, pinned above
-        lits = _implicant_litmasks(tuple(range(k)), table, k, 1, {})
+        lits = _implicant_litmasks(tuple(range(k)), table, k, {})[0]
         columns = [_column(k, b) for b in range(k)]
         covered = 0
         for t in lits:
@@ -248,6 +248,25 @@ class TestPrimeCubes:
         assert covered == table
         tails = _tails(lits)
         assert tails == sorted(set(tails))
+
+    @pytest.mark.parametrize("k", range(11))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_decode_matches_the_digit_by_digit_reference(self, data, k):
+        # both values' lists, element by element and in order (the order is
+        # the arc ids), on non-contiguous supports; k = 0 and 1 have an
+        # empty low half, and odd k halves of unequal length
+        support = tuple(sorted(data.draw(st.sets(st.sampled_from(range(14)),
+                                                 min_size=k, max_size=k))))
+        target = data.draw(st.integers(0, 13))
+        full = (1 << (1 << k)) - 1
+        draws = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+        table = draws[0]
+        for other in draws[1:]:
+            table = table & other if data.draw(st.booleans()) else table | other
+        ones, zeros = _implicant_litmasks(support, table, target, {})
+        assert ones == implicant_litmasks(support, table, target, 1)
+        assert zeros == implicant_litmasks(support, table, target, 0)
 
 
 def reference_masks(g):
@@ -329,8 +348,7 @@ class TestArcMasks:
         head_lit, tail_litmask, memo = [], [], {}
         for i in range(12):
             table = rng.getrandbits(1 << 12)
-            for c in (1, 0):
-                tails = _implicant_litmasks(tuple(range(12)), table, i, c, memo)
+            for c, tails in zip((1, 0), _implicant_litmasks(tuple(range(12)), table, i, memo)):
                 head_lit += [2 * i + c] * len(tails)
                 tail_litmask += tails
         net = parse_network("targets, factors\n" + "".join(f"v{i}, v{i}\n" for i in range(12)))
