@@ -113,7 +113,10 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("encode", help="emit the ASP or ILP encoding")
     p.add_argument("--format", choices=["asp", "ilp"], required=True)
-    p.add_argument("--mode", choices=["min", "max"], required=True)
+    p.add_argument("--mode", choices=["min", "max"], required=True,
+                   help="arc-set objective: min gives the smallest non-empty stable and "
+                   "consistent arc sets, which induce the maximal trap spaces; max gives "
+                   "the largest ones, which induce the minimal trap spaces")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("file")
 

@@ -13,14 +13,19 @@ is already extremal (Di Rosa, Giunchiglia & Maratea 2010): fixed values
 before free give an inclusion-maximal literal set, a minimal trap space;
 free before fixed values give an inclusion-minimal non-empty one, a maximal
 trap space. Steady states (mode "steady") use the first order with free
-disallowed. Each space found becomes a no-good on its literal set (some
-fixed literal outside it, or some literal of it absent), and the search
-resumes where it stopped; the next leaf it reaches is extremal again. No
-cardinality bound or optimality proof is needed. Each leaf's witness is
-walked once and must induce exactly the leaf's literal set, the space its
-no-good records. That the spaces found are pairwise incomparable is checked
-at the end with the bitset selection ``space.select_trap_spaces``, which
-the oracle uses too.
+disallowed. Two kinds of work that cannot reach a leaf are never done. An
+arc whose tail holds the opposite of its head literal (negative
+autoregulation) is dead from the root on: at a leaf its variable is free,
+which kills every arc on it, or fixed, which makes its head or its tail
+literal impossible. And a branch never tries a fixed value whose literal
+has no alive provider: that child would fail on its first pending literal.
+Each space found becomes a no-good on its literal set (some fixed literal
+outside it, or some literal of it absent), and the search resumes where it
+stopped; the next leaf it reaches is extremal again. No cardinality bound
+or optimality proof is needed. Each leaf's witness is walked once and must
+induce exactly the leaf's literal set, the space its no-good records. That
+the spaces found are pairwise incomparable is checked at the end with the
+bitset selection ``space.select_trap_spaces``, which the oracle uses too.
 
 The arc-set view is kept for witnesses and checks: a set of arcs is
 consistent when no two heads assign opposite values to one variable, and
@@ -131,6 +136,13 @@ class _Search:
     remaining provider of a fixed literal shares. At a leaf every variable
     is decided, and ``alive`` is exactly the set of arcs compatible with the
     space ``fixed``.
+
+    Two prunings leave the leaves as they are. The root's ``alive`` lacks
+    the self-negating arcs, per literal its providers whose tail holds the
+    opposite literal (2n mask ANDs): no leaf keeps one alive, since a free
+    variable kills its arcs and a fixed one their head or their tail. A
+    branch pushes a fixed value only when its literal is in ``provided``;
+    otherwise the child would fail on its first pending literal.
     """
 
     def __init__(self, g: PrimeImplicantGraph, fixed_first: bool, allow_free: bool,
@@ -142,11 +154,16 @@ class _Search:
         self.deadline = deadline
         self.nogoods: list[int] = []  # literal masks of the spaces found
         self.nodes = 0
+        # arcs whose tail holds the opposite of their head literal
+        self_negating = 0
+        for lit in range(2 * g.n):
+            self_negating |= g.heads_mask[lit] & self.tailed_by[lit ^ 1]
         # stack entries: (parent status, alive, fixed, provided, variable,
         # value); the root decides nothing and has every literal pending,
         # so unprovidable tails are pruned up front
         all_lits = (1 << 2 * g.n) - 1
-        self.stack = [([_UNDECIDED] * g.n, (1 << g.m) - 1, 0, all_lits, -1, _UNDECIDED)]
+        self.stack = [([_UNDECIDED] * g.n, ((1 << g.m) - 1) & ~self_negating, 0, all_lits,
+                       -1, _UNDECIDED)]
 
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -186,7 +203,9 @@ class _Search:
                 return fixed, alive
             ones = (alive & g.heads_mask[2 * branch_var + 1]).bit_count()
             zeros = (alive & g.heads_mask[2 * branch_var]).bit_count()
-            order = [1, 0] if ones >= zeros else [0, 1]
+            # a fixed value with no alive provider would fail at once
+            order = [c for c in ((1, 0) if ones >= zeros else (0, 1))
+                     if provided >> (2 * branch_var + c) & 1]
             if self.allow_free:
                 order = order + [_FREE] if self.fixed_first else [_FREE] + order
             for value in reversed(order):

@@ -511,7 +511,7 @@ class TestCheck:
     ("commitment", "row\nsteady\nsync-cyclic\nasync-cyclic\n"),
     ("audit", "attractors outside the minimal trap spaces found: 2\n"),
     ("check", ""),
-])
+], ids=["bound", "commitment", "audit", "check"])
 def test_a_timed_out_search_prints_what_it_found(capsys, command, want_out):
     code, out, err = run(capsys, "--timeout", "0", command, MODEL_EXAMPLE)
     assert (code, out, err) == (3, want_out, TIMEOUT_WARNING)
@@ -647,6 +647,15 @@ class TestEncode:
         code, _, err = run(capsys, "encode", "--format", "asp", example_file)
         assert code == 1
         assert "usage error" in err
+
+    def test_help_names_the_trap_spaces_of_each_mode(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.run(["encode", "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("min gives the smallest non-empty stable and consistent arc sets, "
+                "which induce the maximal trap spaces; max gives the largest ones, "
+                "which induce the minimal trap spaces") in text
 
 
 class TestExitCodes:
@@ -821,7 +830,7 @@ def test_golden_cli_hash(capsys, tmp_path):
                 record = [argv[:-1], code, out, err.replace(str(path), "<file>")]
                 digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == (
-        "9b5c1c03eda95cd7ed5427105ce8e1554b207a9e07b2f7621b30920d5012c5d4")
+        "888112e2dc0cba4dccd437b3cfb456cc51f8a1b8332a70da72f07c2d5e74996b")
 
 
 def test_import_loads_no_process_pool_and_no_dataclasses():
